@@ -62,6 +62,10 @@ func sumCounter(c *Cluster, name string) int64 {
 func TestClusterAttestationEndToEnd(t *testing.T) {
 	const leechers = 4
 	c := startSignedCluster(t, transport.NewMem(), leechers)
+	// Completion does not quiesce the swarm: duplicate pushes and their
+	// receipts are still crediting while the books are read one by one.
+	// Stop first, so the ledger and every counter hold their final values.
+	c.Stop()
 
 	// Racing duplicate deliveries are genuine uploads and are credited too
 	// (Store.Put is idempotent), so delivery-derived quantities are lower

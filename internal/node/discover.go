@@ -134,10 +134,10 @@ type discState struct {
 	pingSeq     uint32
 	seen        map[int32]uint32 // gossip origin -> highest announce seq
 	dialing     map[int]bool     // contact dials in flight
-	cooldown    map[int]int64    // contact -> no-redial-before (sinceStartNs)
+	cooldown    map[int]int64    // contact -> no-redial-before (nowNs)
 
 	lookupBusy   bool  // one refresh/self lookup at a time
-	lastRedialNs int64 // last empty-table bootstrap re-dial (sinceStartNs)
+	lastRedialNs int64 // last bootstrap (re-)dial (nowNs)
 	starveTicks  int   // consecutive no-progress maintain ticks (discoverLoop only)
 	lastPieces   int   // piece count at the previous maintain tick (discoverLoop only)
 
@@ -398,9 +398,7 @@ func (n *Node) maintainDegree() {
 		if n.hasUnconnectedCandidate(connected) {
 			d.starveTicks = starveTicksToWiden // keep widened goal, pace rotations
 			d.rewires.Inc()
-			if n.tracer != nil {
-				instant(n.tracer, tracing.SpanDiscoveryRewire, n.cfg.ID, victim.id, -1)
-			}
+			n.instant(tracing.SpanDiscoveryRewire, victim.id)
 			n.log.Info("starvation rewire: dropping neighbor", "peer", victim.id)
 			victim.conn.Close()
 			need++ // the freed slot is dialable this very tick
@@ -413,7 +411,7 @@ func (n *Node) maintainDegree() {
 		n.redialBootstrap()
 		return
 	}
-	now := n.sinceStartNs()
+	now := n.nowNs()
 	candidates := d.table.NeighborCandidates(2 * goal)
 	// Dial in random order: the candidate list is bucket-ordered, and a
 	// deterministic order would let the same early-bucket contacts soak up
@@ -465,7 +463,7 @@ func (n *Node) hasUnconnectedCandidate(connected map[int]bool) bool {
 // lost in flight) gets here from the maintain tick.
 func (n *Node) redialBootstrap() {
 	d := n.disc
-	now := n.sinceStartNs()
+	now := n.nowNs()
 	d.mu.Lock()
 	tooSoon := now-d.lastRedialNs < redialCooldown.Nanoseconds()
 	if !tooSoon {
@@ -515,7 +513,7 @@ func (n *Node) checkLiveness() {
 		peers = append(peers, r)
 	}
 	n.mu.Unlock()
-	now := n.sinceStartNs()
+	now := n.nowNs()
 	for _, r := range peers {
 		idle := now - r.lastRecv.Load()
 		switch {

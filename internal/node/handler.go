@@ -1,8 +1,6 @@
 package node
 
 import (
-	"time"
-
 	"repro/internal/attest"
 	"repro/internal/discovery"
 	"repro/internal/incentive"
@@ -103,8 +101,8 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 		}
 	}
 
-	r := newRemote(peerID, conn, n.cfg.Store.Manifest().NumPieces(), theirHello.Addr, n.metrics, n.tracer, n.cfg.ID)
-	r.lastRecv.Store(n.sinceStartNs())
+	r := newRemote(peerID, conn, theirHello.Addr, n)
+	r.lastRecv.Store(n.nowNs())
 	n.mu.Lock()
 	if _, dup := n.peers[peerID]; dup || peerID == n.cfg.ID {
 		n.mu.Unlock()
@@ -186,7 +184,7 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 		}
 		n.metrics.framesIn.Inc()
 		if n.disc != nil {
-			r.lastRecv.Store(n.sinceStartNs())
+			r.lastRecv.Store(n.nowNs())
 		}
 		if done := n.dispatch(r, msg); done {
 			return
@@ -283,46 +281,11 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 // hand-off (verify, then copy into the store), after which the scratch is
 // free to be reused by the next Recv.
 func (n *Node) handlePiece(r *remote, m protocol.Piece) {
-	h := n.hopStart(m.Trace, r.id, int(m.Index))
+	h := n.hopStart(m.Trace, tracing.SpanWireRecv, r.id, int(m.Index))
 	if err := n.cfg.Store.Put(int(m.Index), m.Data); err != nil {
 		return // forged or duplicate data; Put verified the hash
 	}
-	h.step(tracing.SpanStoreVerify)
-	// Continuation anchored at the verify span: onward uploads of this piece
-	// extend the same trace from here.
-	cont := h.context()
-	// Sign (or, unsigned, claim) the receipt outside n.mu — Ed25519 is two
-	// orders of magnitude slower than anything else under that lock.
-	att := n.signReceipt(int32(r.id), m.Index, len(m.Data))
-	h.step(tracing.SpanAttestSign)
-	n.creditAttestation(r, att, h)
-	if h != nil && n.logDebug {
-		n.log.Debug("piece verified", "piece", m.Index, "from", r.id,
-			"trace", traceHex(m.Trace.TraceID))
-	}
-	n.mu.Lock()
-	if n.pieceTrace != nil && cont.Traced() {
-		n.pieceTrace[m.Index] = cont
-	}
-	n.noteFirstByteLocked(int(m.Index))
-	// A racing duplicate (Put is idempotent) still credits the ledger as
-	// before, but the byte counters only attribute first deliveries so
-	// per-peer sums equal verified content bytes.
-	if n.myBits.Has(int(m.Index)) {
-		n.metrics.noteDuplicate(len(m.Data))
-	} else {
-		n.metrics.noteDownload(r.id, len(m.Data))
-	}
-	n.strategy.OnReceived(n.view(), incentive.PeerID(r.id), float64(len(m.Data)))
-	// A pending seal for this index is now moot; drop the ciphertext.
-	for keyID, pending := range n.pendingSeals {
-		if pending.index == int(m.Index) {
-			delete(n.pendingSeals, keyID)
-		}
-	}
-	n.noteGainedLocked(int(m.Index))
-	n.mu.Unlock()
-	n.checkComplete()
+	n.acceptVerified(r, r.id, int(m.Index), len(m.Data), h)
 
 	if m.RepaysKeyID != protocol.NoRepay {
 		// Direct reciprocation for a seal we sent to r.
@@ -334,6 +297,51 @@ func (n *Node) handlePiece(r *remote, m protocol.Piece) {
 	}
 }
 
+// acceptVerified is the tail every verified piece runs once Store.Put has
+// accepted it, whether it arrived as plaintext (handlePiece) or as a seal a
+// key just unlocked (handleKey): receipt, credit, trace continuation, byte
+// accounting, the strategy's OnReceived, the moot-seal sweep, the Have
+// broadcast and the completion check. from is the credited sender; to
+// receives the receipt copy (nil when the sender is no longer a neighbor).
+// h, when non-nil, chains store.verify → attest.sign → ledger.credit.
+func (n *Node) acceptVerified(to *remote, from, idx, size int, h *hopTrace) {
+	h.step(tracing.SpanStoreVerify)
+	// Continuation anchored at the verify span: onward uploads of this piece
+	// extend the same trace from here.
+	cont := h.context()
+	// Sign (or, unsigned, claim) the receipt outside n.mu — Ed25519 is two
+	// orders of magnitude slower than anything else under that lock.
+	att := n.signReceipt(int32(from), int32(idx), size)
+	h.step(tracing.SpanAttestSign)
+	n.creditAttestation(to, att, h)
+	if h != nil && n.logDebug {
+		n.log.Debug("piece verified", "piece", idx, "from", from, "trace", traceHex(h.trace))
+	}
+	n.mu.Lock()
+	if cont.Traced() {
+		n.pieceTrace[idx] = cont
+	}
+	n.noteFirstByteLocked(idx)
+	// A racing duplicate (Put is idempotent) still credits the ledger as
+	// before, but the byte counters only attribute first deliveries so
+	// per-peer sums equal verified content bytes.
+	if n.myBits.Has(idx) {
+		n.metrics.noteDuplicate(size)
+	} else {
+		n.metrics.noteDownload(from, size)
+	}
+	n.strategy.OnReceived(n.view(), incentive.PeerID(from), float64(size))
+	// A pending seal for this index is now moot; drop the ciphertext.
+	for keyID, pending := range n.pendingSeals {
+		if pending.index == idx {
+			delete(n.pendingSeals, keyID)
+		}
+	}
+	n.noteGainedLocked(idx)
+	n.mu.Unlock()
+	n.checkComplete()
+}
+
 // handleSealed stores the ciphertext and reciprocates per T-Chain: repay
 // the origin directly when possible, otherwise forward the seal to a third
 // peer (who will send the origin a receipt). Free-riders renege.
@@ -341,13 +349,12 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 	if m.Index < 0 || int(m.Index) >= n.cfg.Store.Manifest().NumPieces() {
 		return // malformed index; nothing downstream would accept it
 	}
-	h := n.hopStart(m.Trace, r.id, int(m.Index))
+	h := n.hopStart(m.Trace, tracing.SpanWireRecv, r.id, int(m.Index))
 	// The ciphertext outlives this dispatch (pending-seal escrow, possible
 	// forward), while m.Ciphertext may alias the connection's decode
 	// scratch — copy once here, then share the stable copy everywhere.
 	ciphertext := append([]byte(nil), m.Ciphertext...)
 	sealed := &tchain.Sealed{KeyID: m.KeyID, Nonce: m.Nonce, Ciphertext: ciphertext}
-	originID := int(m.OriginID)
 
 	if m.Forwarded {
 		// We are the witness of someone else's reciprocation: confirm it to
@@ -355,10 +362,9 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 		// too — if the origin later releases the key to us as well we can
 		// use it, but we do not rely on that.
 		n.mu.Lock()
-		origin, connected := n.peers[originID]
+		origin, connected := n.peers[int(m.OriginID)]
 		if !n.cfg.Store.Has(int(m.Index)) {
-			n.pendingSeals[m.KeyID] = pendingSeal{sealed: sealed, index: int(m.Index), originID: originID, originAddr: m.OriginAddr, tc: h.context()}
-			n.noteFirstByteLocked(int(m.Index))
+			n.holdSealLocked(m, sealed, h)
 		}
 		n.mu.Unlock()
 		var receipt protocol.Message = protocol.Receipt{KeyID: m.KeyID, From: m.ForwarderID}
@@ -388,14 +394,21 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 		n.mu.Unlock()
 		return // nothing to gain; skip reciprocating for a duplicate
 	}
-	n.pendingSeals[m.KeyID] = pendingSeal{sealed: sealed, index: int(m.Index), originID: originID, originAddr: m.OriginAddr, tc: h.context()}
-	n.noteFirstByteLocked(int(m.Index))
+	n.holdSealLocked(m, sealed, h)
 	n.mu.Unlock()
 
 	if n.cfg.FreeRide {
 		return // renege: keep unreadable ciphertext, upload nothing
 	}
 	n.reciprocate(r, m, ciphertext)
+}
+
+// holdSealLocked escrows a sealed piece until its key arrives and stamps
+// the piece's first byte (mu held); the seal's hop context is kept so
+// handleKey resumes the same trace.
+func (n *Node) holdSealLocked(m protocol.SealedPiece, sealed *tchain.Sealed, h *hopTrace) {
+	n.pendingSeals[m.KeyID] = pendingSeal{sealed: sealed, index: int(m.Index), originID: int(m.OriginID), tc: h.context()}
+	n.noteFirstByteLocked(int(m.Index))
 }
 
 // reciprocate fulfils the obligation created by a sealed piece. ciphertext
@@ -468,13 +481,14 @@ func (n *Node) handleKey(m protocol.Key) {
 	if ok {
 		delete(n.pendingSeals, m.KeyID)
 	}
+	origin := n.peers[pending.originID]
 	n.mu.Unlock()
 	if !ok {
 		return
 	}
 	// Resume the trace the seal arrived under: the decrypt+verify and the
 	// credit belong to the seal's causal story, not the key frame's.
-	h := n.hopResume(pending.tc, pending.originID, pending.index)
+	h := n.hopStart(pending.tc, "", pending.originID, pending.index)
 	var key tchain.Key
 	copy(key[:], m.Key[:])
 	plaintext, err := tchain.Open(pending.sealed, key)
@@ -484,27 +498,7 @@ func (n *Node) handleKey(m protocol.Key) {
 	if err := n.cfg.Store.Put(pending.index, plaintext); err != nil {
 		return // wrong key or corrupt ciphertext: hash check failed
 	}
-	h.step(tracing.SpanStoreVerify)
-	cont := h.context()
-	att := n.signReceipt(int32(pending.originID), int32(pending.index), len(plaintext))
-	h.step(tracing.SpanAttestSign)
-	n.mu.Lock()
-	origin := n.peers[pending.originID]
-	n.mu.Unlock()
-	n.creditAttestation(origin, att, h)
-	n.mu.Lock()
-	if n.pieceTrace != nil && cont.Traced() {
-		n.pieceTrace[pending.index] = cont
-	}
-	if n.myBits.Has(pending.index) {
-		n.metrics.noteDuplicate(len(plaintext))
-	} else {
-		n.metrics.noteDownload(pending.originID, len(plaintext))
-	}
-	n.strategy.OnReceived(n.view(), incentive.PeerID(pending.originID), float64(len(plaintext)))
-	n.noteGainedLocked(pending.index)
-	n.mu.Unlock()
-	n.checkComplete()
+	n.acceptVerified(origin, pending.originID, pending.index, len(plaintext), h)
 }
 
 // handleReceipt processes an unsigned witness confirmation: release the key
@@ -561,15 +555,9 @@ func (n *Node) creditAttestation(to *remote, att attest.Attestation, h *hopTrace
 // metrics — a tampered or mis-addressed copy is counted and dropped, which
 // is what the tampering-transport test observes.
 func (n *Node) handleAttest(r *remote, m protocol.Attest) {
-	if n.tracer != nil && m.Trace.Traced() {
-		// The receipt copy for a traced delivery closes the loop: record its
-		// arrival under the receiver's ledger.credit span.
-		n.tracer.Record(tracing.Span{
-			TraceID: m.Trace.TraceID, SpanID: n.tracer.NewID(), ParentID: m.Trace.SpanID,
-			Name: tracing.SpanAttestAck, Node: n.cfg.ID, Peer: r.id, Piece: int(m.Att.Index),
-			Start: time.Now().UnixNano(),
-		})
-	}
+	// The receipt copy for a traced delivery closes the loop: record its
+	// arrival under the receiver's ledger.credit span.
+	n.hopStart(m.Trace, tracing.SpanAttestAck, r.id, int(m.Att.Index))
 	n.checkAck(m.Att)
 }
 

@@ -231,15 +231,13 @@ func (m *nodeMetrics) peerDownloadBytes() map[int]int64 {
 	return out
 }
 
-// sinceStartNs returns the node's monotonic span clock: nanoseconds since
-// Start. Span timestamps store this value (0 = unset), so span histograms
-// never mix wall-clock bases.
-func (n *Node) sinceStartNs() int64 {
-	d := time.Since(n.start).Nanoseconds()
-	if d <= 0 {
-		return 1 // Start just happened; keep "set" distinguishable from 0
-	}
-	return d
+// nowNs is the node's one clock: the Unix-epoch nanoseconds of Start
+// advanced by the monotonic time since Start. It stamps the piece-lifecycle
+// spans behind the node_span_* histograms and every trace span, so the two
+// never mix time bases, intervals never see a wall-clock step, and span
+// starts stay comparable across the nodes sharing one collector.
+func (n *Node) nowNs() int64 {
+	return n.start.UnixNano() + time.Since(n.start).Nanoseconds()
 }
 
 // noteWantedLocked marks the want-time of a piece (mu held): the first
@@ -252,7 +250,7 @@ func (n *Node) noteWantedLocked(index int) {
 	if n.myBits.Has(index) {
 		return
 	}
-	n.wantSince[index] = n.sinceStartNs()
+	n.wantSince[index] = n.nowNs()
 }
 
 // noteFirstByteLocked marks first data arrival for a piece (mu held) —
@@ -262,7 +260,7 @@ func (n *Node) noteFirstByteLocked(index int) {
 	if index < 0 || index >= len(n.firstByteAt) || n.firstByteAt[index] != 0 {
 		return
 	}
-	now := n.sinceStartNs()
+	now := n.nowNs()
 	n.firstByteAt[index] = now
 	if w := n.wantSince[index]; w != 0 {
 		n.metrics.spanWantFirstByte.Observe(now - w)
@@ -276,7 +274,7 @@ func (n *Node) noteVerifiedLocked(index int) {
 	if index < 0 || index >= len(n.firstByteAt) {
 		return
 	}
-	now := n.sinceStartNs()
+	now := n.nowNs()
 	if f := n.firstByteAt[index]; f != 0 {
 		n.metrics.spanFirstByteVerified.Observe(now - f)
 	}
@@ -288,14 +286,10 @@ func (n *Node) noteVerifiedLocked(index int) {
 		// slow outlier and its causal story meet in the collector. SlowNs
 		// is nil-safe, so the untraced path pays a nil check only.
 		if slow := n.tracer.SlowNs(); slow > 0 && now-w > slow {
-			var traceID uint64
-			if n.pieceTrace != nil {
-				traceID = n.pieceTrace[index].TraceID
-			}
 			n.tracer.Record(tracing.Span{
-				TraceID: traceID, SpanID: n.tracer.NewID(),
+				TraceID: n.pieceTrace[index].TraceID, SpanID: n.tracer.NewID(),
 				Name: tracing.SpanPieceSlow, Node: n.cfg.ID, Peer: -1, Piece: index,
-				Start: n.start.Add(time.Duration(w)).UnixNano(), Dur: now - w,
+				Start: w, Dur: now - w,
 			})
 		}
 	}

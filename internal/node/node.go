@@ -132,7 +132,7 @@ func (c *Config) validate() error {
 // maxQueuedData bounds the bulk payload frames (Piece, SealedPiece) queued
 // per peer: enough to keep a healthy connection's writer busy, small enough
 // that a stalled peer pins at most maxQueuedData pieces of memory and the
-// upload scheduler redirects its budget elsewhere (see enqueueData).
+// upload scheduler redirects its budget elsewhere (see push).
 const maxQueuedData = 16
 
 // stopFlushTimeout bounds how long Stop waits, in total across all peers,
@@ -152,6 +152,7 @@ type remote struct {
 	conn transport.Conn
 	have *piece.Bitfield
 	addr string
+	n    *Node // owner: metrics, tracer, clock, and span attribution
 
 	// theyNeed counts pieces we hold that the peer lacks; iNeed counts
 	// pieces the peer holds that we lack. Maintained incrementally under
@@ -169,46 +170,71 @@ type remote struct {
 	writing   bool               // a drained batch is on its way to the wire
 	outClosed bool
 
-	// traced carries the span bookkeeping for traced frames currently in
-	// the outbox (see trace.go); it is swapped out alongside the batch so
+	// traced holds the upload traces of traced frames currently in the
+	// outbox (see trace.go); it is swapped out alongside the batch so
 	// writeLoop can record outbox.wait and wire.send once the drain lands.
 	// choked marks a backpressure refusal whose recovery (the queue
 	// draining back below the bound) should emit an unchoke instant. All
-	// three stay nil/false when tracing is off.
-	traced      []tracedFrame
-	tracedSpare []tracedFrame
+	// three stay empty/false when tracing is off.
+	traced      []*uploadTrace
+	tracedSpare []*uploadTrace
 	choked      bool
 
-	// lastRecv and lastPing are sinceStartNs timestamps for discovery's
+	// lastRecv and lastPing are node-clock timestamps for discovery's
 	// failure detector (maintained only when discovery is on): the last
 	// inbound frame on this link and the last keepalive ping we sent.
 	lastRecv atomic.Int64
 	lastPing atomic.Int64
-
-	nm *nodeMetrics // owning node's instrumentation
-
-	tr     *tracing.Collector // nil when tracing is off
-	nodeID int                // owning node's ID, for span attribution
 }
 
-// newRemote wires the outbound queue.
-func newRemote(id int, conn transport.Conn, numPieces int, addr string, nm *nodeMetrics, tr *tracing.Collector, nodeID int) *remote {
-	r := &remote{id: id, conn: conn, have: piece.NewBitfield(numPieces), addr: addr, nm: nm, tr: tr, nodeID: nodeID}
+// newRemote wires the outbound queue of neighbor id for node n.
+func newRemote(id int, conn transport.Conn, addr string, n *Node) *remote {
+	r := &remote{id: id, conn: conn, have: piece.NewBitfield(n.cfg.Store.Manifest().NumPieces()), addr: addr, n: n}
 	r.outCond = sync.NewCond(&r.outMu)
 	return r
 }
 
-// enqueue appends a control message for the writer goroutine; it never
-// blocks and is never dropped.
-func (r *remote) enqueue(m protocol.Message) {
+// push is the outbox's one entry: it appends m for the writer goroutine and
+// reports whether the frame was accepted. Control frames (bulk false) are
+// never refused while the link is up; bulk frames (Piece, SealedPiece) are
+// bounded by maxQueuedData — a full queue refuses the frame, counts it in
+// node_backpressure_refusals_total, and the scheduler's resend cooldown
+// re-offers the piece later. A closed outbox refuses everything. ut, when
+// non-nil, traces the frame: only then is the clock read, request.queued
+// recorded on acceptance, and the trace handed to writeLoop.
+func (r *remote) push(m protocol.Message, bulk bool, ut *uploadTrace) bool {
+	if ut != nil {
+		ut.enqNs = r.n.nowNs()
+	}
 	r.outMu.Lock()
-	defer r.outMu.Unlock()
-	if r.outClosed {
-		return
+	if r.outClosed || (bulk && r.outData >= maxQueuedData) {
+		if !r.outClosed {
+			r.n.metrics.backpressure.Inc()
+			r.noteChokedLocked()
+		}
+		r.outMu.Unlock()
+		return false
+	}
+	if bulk {
+		r.outData++
 	}
 	r.outbox = append(r.outbox, m)
+	if ut != nil {
+		r.traced = append(r.traced, ut)
+	}
 	r.outCond.Signal()
+	r.outMu.Unlock()
+	if ut != nil {
+		r.n.tracer.Record(ut.span(r.n.cfg.ID, tracing.SpanRequestQueued, ut.queued, ut.parent, ut.mintNs, ut.enqNs))
+	}
+	return true
 }
+
+// enqueue queues an untraced control frame.
+func (r *remote) enqueue(m protocol.Message) { r.push(m, false, nil) }
+
+// enqueueData queues an untraced bulk frame; see push for refusals.
+func (r *remote) enqueueData(m protocol.Message) bool { return r.push(m, true, nil) }
 
 // enqueueAck queues a signed receipt copy for this peer. Receipts are
 // ordinary control frames: a lazy no-wakeup variant was measured and
@@ -220,76 +246,15 @@ func (r *remote) enqueueAck(att attest.Attestation, tc tracing.Context) {
 	r.enqueue(protocol.Attest{Att: att, Trace: tc})
 }
 
-// enqueueData appends a bulk payload frame, reporting whether it was
-// accepted. A full queue refuses the frame — the caller treats the peer as
-// saturated and the scheduler's resend cooldown re-offers the piece later.
-// Each refusal lands in node_backpressure_refusals_total.
-func (r *remote) enqueueData(m protocol.Message) bool {
-	r.outMu.Lock()
-	defer r.outMu.Unlock()
-	if r.outClosed || r.outData >= maxQueuedData {
-		if !r.outClosed {
-			r.nm.backpressure.Inc()
-			r.noteChokedLocked()
-		}
-		return false
-	}
-	r.outData++
-	r.outbox = append(r.outbox, m)
-	r.outCond.Signal()
-	return true
-}
-
 // noteChokedLocked emits a choke instant on the first backpressure refusal
 // of a saturated stretch (outMu held). Refusals are off the accept fast
 // path, so the tracing check costs nothing when the queue is healthy; with
 // tracing off it is a nil compare.
 func (r *remote) noteChokedLocked() {
-	if r.tr == nil || r.choked {
-		return
+	if r.n.tracer != nil && !r.choked {
+		r.choked = true
+		r.n.instant(tracing.SpanChoke, r.id)
 	}
-	r.choked = true
-	instant(r.tr, tracing.SpanChoke, r.nodeID, r.id, -1)
-}
-
-// enqueueTraced is enqueue for a traced control frame (a repayment piece):
-// never refused, never dropped, with the request.queued span recorded on
-// acceptance and the writer bookkeeping attached.
-func (r *remote) enqueueTraced(m protocol.Message, ut *uploadTrace) {
-	enqNs := time.Now().UnixNano()
-	r.outMu.Lock()
-	if r.outClosed {
-		r.outMu.Unlock()
-		return
-	}
-	r.outbox = append(r.outbox, m)
-	r.traced = append(r.traced, ut.frame(enqNs))
-	r.outCond.Signal()
-	r.outMu.Unlock()
-	r.tr.Record(ut.queuedSpan(r.nodeID, enqNs))
-}
-
-// enqueueDataTraced is enqueueData for a traced bulk frame: same
-// backpressure contract, plus the request.queued span and the writer
-// bookkeeping on acceptance.
-func (r *remote) enqueueDataTraced(m protocol.Message, ut *uploadTrace) bool {
-	enqNs := time.Now().UnixNano()
-	r.outMu.Lock()
-	if r.outClosed || r.outData >= maxQueuedData {
-		if !r.outClosed {
-			r.nm.backpressure.Inc()
-			r.noteChokedLocked()
-		}
-		r.outMu.Unlock()
-		return false
-	}
-	r.outData++
-	r.outbox = append(r.outbox, m)
-	r.traced = append(r.traced, ut.frame(enqNs))
-	r.outCond.Signal()
-	r.outMu.Unlock()
-	r.tr.Record(ut.queuedSpan(r.nodeID, enqNs))
-	return true
 }
 
 // dataBacklogged reports whether the bulk queue is at capacity — the
@@ -323,8 +288,8 @@ func (r *remote) closeOutbox() {
 // previous batch's slice is recycled, so steady state allocates nothing)
 // and hands it to the transport's batch path when available — one flush,
 // one syscall per drain on TCP. outData is decremented only after the
-// batch hits the wire, so enqueueData's bound covers frames being written,
-// not just frames waiting.
+// batch hits the wire, so push's bound covers frames being written, not
+// just frames waiting.
 func (r *remote) writeLoop() {
 	batcher, _ := r.conn.(transport.BatchSender)
 	for {
@@ -349,7 +314,7 @@ func (r *remote) writeLoop() {
 		// for a timestamp here.
 		var drainNs int64
 		if len(traced) > 0 {
-			drainNs = time.Now().UnixNano()
+			drainNs = r.n.nowNs()
 		}
 		var err error
 		if batcher != nil {
@@ -365,28 +330,21 @@ func (r *remote) writeLoop() {
 			// nData is exactly the batch's bulk frames (Piece, SealedPiece);
 			// the rest are control frames, so the class split costs nothing
 			// beyond the bookkeeping writeLoop already does.
-			r.nm.framesBulk.Add(int64(nData))
-			r.nm.framesControl.Add(int64(len(batch) - nData))
+			r.n.metrics.framesBulk.Add(int64(nData))
+			r.n.metrics.framesControl.Add(int64(len(batch) - nData))
 			if len(traced) > 0 {
-				doneNs := time.Now().UnixNano()
-				for _, tf := range traced {
+				doneNs := r.n.nowNs()
+				for _, ut := range traced {
 					// outbox.wait: accepted by the queue → this drain began.
-					r.tr.Record(tracing.Span{
-						TraceID: tf.traceID, SpanID: tf.wait, ParentID: tf.queued,
-						Name: tracing.SpanOutboxWait, Node: r.nodeID, Peer: tf.peer, Piece: tf.piece,
-						Start: tf.enqNs, Dur: drainNs - tf.enqNs,
-					})
 					// wire.send: the whole drain's encode+flush window — frames
 					// share one batched syscall, so they share the span bounds.
-					r.tr.Record(tracing.Span{
-						TraceID: tf.traceID, SpanID: tf.send, ParentID: tf.wait,
-						Name: tracing.SpanWireSend, Node: r.nodeID, Peer: tf.peer, Piece: tf.piece,
-						Start: drainNs, Dur: doneNs - drainNs,
-					})
+					r.n.tracer.Record(ut.span(r.n.cfg.ID, tracing.SpanOutboxWait, ut.wait, ut.queued, ut.enqNs, drainNs))
+					r.n.tracer.Record(ut.span(r.n.cfg.ID, tracing.SpanWireSend, ut.tc.SpanID, ut.wait, drainNs, doneNs))
 				}
 			}
 		}
-		clear(batch) // drop payload references before recycling the slice
+		clear(batch) // drop payload references before recycling the slices
+		clear(traced)
 		unchoked := false
 		r.outMu.Lock()
 		r.spare = batch[:0]
@@ -399,7 +357,7 @@ func (r *remote) writeLoop() {
 		}
 		r.outMu.Unlock()
 		if unchoked {
-			instant(r.tr, tracing.SpanUnchoke, r.nodeID, r.id, -1)
+			r.n.instant(tracing.SpanUnchoke, r.id)
 		}
 		if err != nil {
 			r.closeOutbox()
@@ -413,11 +371,10 @@ func (r *remote) writeLoop() {
 // key finally lands, handleKey resumes the trace there, so the decrypt and
 // verify appear in the same causal story as the seal's wire hop.
 type pendingSeal struct {
-	sealed     *tchain.Sealed
-	index      int
-	originID   int
-	originAddr string
-	tc         tracing.Context
+	sealed   *tchain.Sealed
+	index    int
+	originID int
+	tc       tracing.Context
 }
 
 // Stats is a snapshot of a node's counters, assembled from the metrics
@@ -461,11 +418,11 @@ type Node struct {
 	trusted      map[int]bool // peers that have genuinely reciprocated a seal
 	rng          *rand.Rand
 
-	// wantSince and firstByteAt are per-piece span timestamps (nanoseconds
-	// on the sinceStartNs clock, 0 = unset), maintained under mu: want-time
-	// opens when a neighbor is first seen holding a piece we lack,
-	// first-byte when its data (plaintext or ciphertext) first arrives, and
-	// noteVerifiedLocked closes the span at hash-verified store time.
+	// wantSince and firstByteAt are per-piece span timestamps (nowNs, 0 =
+	// unset), maintained under mu: want-time opens when a neighbor is first
+	// seen holding a piece we lack, first-byte when its data (plaintext or
+	// ciphertext) first arrives, and noteVerifiedLocked closes the span at
+	// hash-verified store time.
 	wantSince   []int64
 	firstByteAt []int64
 
@@ -490,7 +447,7 @@ type Node struct {
 	// pieceTrace maps piece index -> continuation context (under mu): a
 	// piece that arrived on a traced frame hands its trace to this node's
 	// next onward upload of it, which is what stitches multi-hop stories
-	// together. Allocated only when tracing is on.
+	// together. All zero (untraced) when tracing is off.
 	tracer     *tracing.Collector
 	log        *slog.Logger
 	logDebug   bool
@@ -501,7 +458,7 @@ type Node struct {
 	closed   sync.Once
 	stopErr  error // set inside closed.Do, read after wg.Wait
 	wg       sync.WaitGroup
-	start    time.Time
+	start    time.Time // set by Start; the origin of nowNs
 
 	completeCh   chan struct{}
 	completeOnce sync.Once
@@ -575,6 +532,7 @@ func New(cfg Config) (*Node, error) {
 		myBits:       cfg.Store.Bitfield(),
 		wantSince:    make([]int64, cfg.Store.Manifest().NumPieces()),
 		firstByteAt:  make([]int64, cfg.Store.Manifest().NumPieces()),
+		pieceTrace:   make([]tracing.Context, cfg.Store.Manifest().NumPieces()),
 		done:         make(chan struct{}),
 		completeCh:   make(chan struct{}),
 		tracer:       cfg.Tracer,
@@ -588,9 +546,6 @@ func New(cfg Config) (*Node, error) {
 	// the handler's Enabled check, so per-piece Debug sites must be guarded
 	// or they allocate (traceHex, attr boxing) even into a discard handler.
 	n.logDebug = n.log.Enabled(context.Background(), slog.LevelDebug)
-	if n.tracer != nil {
-		n.pieceTrace = make([]tracing.Context, cfg.Store.Manifest().NumPieces())
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -645,6 +600,7 @@ func (n *Node) Start() error {
 	n.wg.Add(1)
 	go n.uploadLoop()
 	if n.disc != nil {
+		n.disc.lastRedialNs = n.nowNs() // the bootstrap dials above were the first
 		n.wg.Add(1)
 		go n.discoverLoop()
 	}

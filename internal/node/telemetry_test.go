@@ -123,6 +123,10 @@ func TestStatsShim(t *testing.T) {
 			t.Fatalf("leecher %d incomplete: %v", i+1, err)
 		}
 	}
+	// Completion does not quiesce the swarm: duplicate pushes and receipt
+	// copies keep moving counters between the two reads below. Stop first,
+	// so both views are read from the same final state.
+	c.stopAll()
 	for _, n := range c.nodes {
 		st := n.Stats()
 		snap := n.Metrics().Snapshot()

@@ -2,16 +2,18 @@ package node
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/tracing"
 )
 
 // Causal tracing glue for the live data path. The node traces nothing by
-// default: Config.Tracer is nil, every hook below is skipped behind a nil
-// check, and the hot paths (enqueueData, writeLoop, handlePiece) run the
-// exact pre-tracing instruction stream — scripts/check.sh pins the
-// untraced enqueue+drain path's allocation count.
+// default: Config.Tracer is nil and no push is ever sampled. Tracing is not
+// a second copy of the data path but a nil-checked argument on the one
+// path every frame takes: the outbox's single entry (remote.push) reads the
+// clock and records spans only when handed an upload trace, and the
+// verified-piece tail (acceptVerified) steps a receiver hop that is nil for
+// untraced frames. scripts/check.sh pins the untraced enqueue+drain path at
+// zero allocations.
 //
 // When a collector is attached, the sender mints a three-span chain per
 // traced push — request.queued → outbox.wait → wire.send — and the frame
@@ -21,11 +23,13 @@ import (
 // continuation context per piece so its own later uploads of that piece
 // extend the same trace, and sends the receipt ack back carrying the
 // credit span — whose arrival the original uploader records as
-// attest.ack, closing the loop.
+// attest.ack, closing the loop. Every timestamp comes from the node clock
+// (nowNs), the same one the node_span_* histograms read.
 
 // uploadTrace is the sender-side state for one traced piece push, minted
-// under n.mu by uploadTraceLocked (or continueUpload) and threaded through
-// sendPiece/sendSealed as a nil-means-untraced pointer.
+// under n.mu by uploadTraceLocked (or continueUpload), threaded through
+// sendPiece/sendSealed as a nil-means-untraced pointer, and carried by the
+// outbox until writeLoop closes its last spans.
 type uploadTrace struct {
 	tc     tracing.Context // trace ID + the wire.send span carried on the frame
 	queued uint64          // request.queued span ID
@@ -34,49 +38,32 @@ type uploadTrace struct {
 	piece  int
 	peer   int
 	mintNs int64 // when the upload decision was made
+	enqNs  int64 // when the outbox accepted the frame (set by push)
 }
 
-// frame converts the upload trace into the writer-side bookkeeping record,
-// stamped with the outbox-entry time.
-func (ut *uploadTrace) frame(enqNs int64) tracedFrame {
-	return tracedFrame{
-		traceID: ut.tc.TraceID,
-		queued:  ut.queued,
-		wait:    ut.wait,
-		send:    ut.tc.SpanID,
-		piece:   ut.piece,
-		peer:    ut.peer,
-		enqNs:   enqNs,
+// context returns the trace context the frame carries on the wire. Nil-safe;
+// a nil trace returns the untraced zero Context.
+func (ut *uploadTrace) context() tracing.Context {
+	if ut == nil {
+		return tracing.Context{}
 	}
+	return ut.tc
 }
 
-// queuedSpan is the request.queued span: decision made → frame accepted by
-// the peer outbox.
-func (ut *uploadTrace) queuedSpan(node int, enqNs int64) tracing.Span {
+// span builds one span of this push's sender-side chain.
+func (ut *uploadTrace) span(node int, name string, id, parent uint64, startNs, endNs int64) tracing.Span {
 	return tracing.Span{
-		TraceID: ut.tc.TraceID, SpanID: ut.queued, ParentID: ut.parent,
-		Name: tracing.SpanRequestQueued, Node: node, Peer: ut.peer, Piece: ut.piece,
-		Start: ut.mintNs, Dur: enqNs - ut.mintNs,
+		TraceID: ut.tc.TraceID, SpanID: id, ParentID: parent,
+		Name: name, Node: node, Peer: ut.peer, Piece: ut.piece,
+		Start: startNs, Dur: endNs - startNs,
 	}
-}
-
-// tracedFrame rides the per-peer outbox alongside its frame; writeLoop
-// records the outbox.wait and wire.send spans once the drain that carried
-// the frame reaches the wire.
-type tracedFrame struct {
-	traceID uint64
-	queued  uint64 // parent of outbox.wait
-	wait    uint64
-	send    uint64
-	piece   int
-	peer    int
-	enqNs   int64
 }
 
 // newUploadTrace mints the sender-side span chain. traceID is an existing
 // trace for continuations (parent then links the upstream span) or a fresh
 // ID for a sampled push.
-func newUploadTrace(tr *tracing.Collector, traceID, parent uint64, piece, peer int) *uploadTrace {
+func (n *Node) newUploadTrace(traceID, parent uint64, piece, peer int) *uploadTrace {
+	tr := n.tracer
 	return &uploadTrace{
 		tc:     tracing.Context{TraceID: traceID, SpanID: tr.NewID()},
 		queued: tr.NewID(),
@@ -84,16 +71,16 @@ func newUploadTrace(tr *tracing.Collector, traceID, parent uint64, piece, peer i
 		parent: parent,
 		piece:  piece,
 		peer:   peer,
-		mintNs: time.Now().UnixNano(),
+		mintNs: n.nowNs(),
 	}
 }
 
 // uploadTraceLocked decides whether this push is traced (mu held): a piece
 // that arrived traced continues its trace; otherwise the sampler decides
-// whether to mint a fresh one. Returns nil for untraced pushes. Callers
-// must have checked n.tracer != nil.
+// whether to mint a fresh one. Returns nil for untraced pushes, and always
+// with tracing off (no piece is ever traced and a nil sampler never
+// samples).
 func (n *Node) uploadTraceLocked(idx, peerID int) *uploadTrace {
-	tr := n.tracer
 	var traceID, parent uint64
 	if pt := n.pieceTrace[idx]; pt.Traced() {
 		// One-shot: the continuation traces one onward forwarding chain,
@@ -103,12 +90,12 @@ func (n *Node) uploadTraceLocked(idx, peerID int) *uploadTrace {
 		// rate — the cross-node story only needs one causal path.
 		traceID, parent = pt.TraceID, pt.SpanID
 		n.pieceTrace[idx] = tracing.Context{}
-	} else if tr.Sample() {
-		traceID = tr.NewID()
+	} else if n.tracer.Sample() {
+		traceID = n.tracer.NewID()
 	} else {
 		return nil
 	}
-	return newUploadTrace(tr, traceID, parent, idx, peerID)
+	return n.newUploadTrace(traceID, parent, idx, peerID)
 }
 
 // continueUpload extends an inbound trace context into an outbound push
@@ -118,50 +105,41 @@ func (n *Node) continueUpload(tc tracing.Context, piece, peer int) *uploadTrace 
 	if n.tracer == nil || !tc.Traced() {
 		return nil
 	}
-	return newUploadTrace(n.tracer, tc.TraceID, tc.SpanID, piece, peer)
+	return n.newUploadTrace(tc.TraceID, tc.SpanID, piece, peer)
 }
 
 // hopTrace chains the receiver-side spans of one traced frame: each step
 // closes a span covering the work since the previous step and parents the
 // next one under it.
 type hopTrace struct {
-	tr      *tracing.Collector
+	n       *Node
 	trace   uint64
 	last    uint64 // most recent span ID — the next span's parent
-	node    int
 	peer    int
 	piece   int
 	startNs int64 // start of the span the next step will close
 }
 
-// hopStart begins receiver-side tracing for a traced inbound frame,
-// recording the wire.recv instant. Returns nil for untraced frames or when
-// tracing is off.
-func (n *Node) hopStart(tc tracing.Context, peer, piece int) *hopTrace {
+// hopStart begins receiver-side tracing under tc. A non-empty name records
+// an arrival instant of that name (wire.recv for data frames, attest.ack
+// for receipt copies) and chains the hop under it; an empty name resumes
+// tc directly — the Key-release path, where the traced frame was the seal
+// and the key frame merely unlocks it. Returns nil for untraced contexts
+// or when tracing is off.
+func (n *Node) hopStart(tc tracing.Context, name string, peer, piece int) *hopTrace {
 	tr := n.tracer
 	if tr == nil || !tc.Traced() {
 		return nil
 	}
-	now := time.Now().UnixNano()
-	h := &hopTrace{tr: tr, trace: tc.TraceID, last: tr.NewID(),
-		node: n.cfg.ID, peer: peer, piece: piece, startNs: now}
-	tr.Record(tracing.Span{
-		TraceID: h.trace, SpanID: h.last, ParentID: tc.SpanID,
-		Name: tracing.SpanWireRecv, Node: h.node, Peer: peer, Piece: piece, Start: now,
-	})
+	h := &hopTrace{n: n, trace: tc.TraceID, last: tc.SpanID, peer: peer, piece: piece, startNs: n.nowNs()}
+	if name != "" {
+		h.last = tr.NewID()
+		tr.Record(tracing.Span{
+			TraceID: h.trace, SpanID: h.last, ParentID: tc.SpanID,
+			Name: name, Node: n.cfg.ID, Peer: peer, Piece: piece, Start: h.startNs,
+		})
+	}
 	return h
-}
-
-// hopResume continues a stored continuation context without a wire.recv
-// instant — the Key-release path, where the traced frame was the seal and
-// the key frame merely unlocks it.
-func (n *Node) hopResume(tc tracing.Context, peer, piece int) *hopTrace {
-	tr := n.tracer
-	if tr == nil || !tc.Traced() {
-		return nil
-	}
-	return &hopTrace{tr: tr, trace: tc.TraceID, last: tc.SpanID,
-		node: n.cfg.ID, peer: peer, piece: piece, startNs: time.Now().UnixNano()}
 }
 
 // step closes a span named name covering the work since the previous step
@@ -170,11 +148,11 @@ func (h *hopTrace) step(name string) {
 	if h == nil {
 		return
 	}
-	now := time.Now().UnixNano()
-	id := h.tr.NewID()
-	h.tr.Record(tracing.Span{
+	now := h.n.nowNs()
+	id := h.n.tracer.NewID()
+	h.n.tracer.Record(tracing.Span{
 		TraceID: h.trace, SpanID: id, ParentID: h.last,
-		Name: name, Node: h.node, Peer: h.peer, Piece: h.piece,
+		Name: name, Node: h.n.cfg.ID, Peer: h.peer, Piece: h.piece,
 		Start: h.startNs, Dur: now - h.startNs,
 	})
 	h.last = id
@@ -190,13 +168,15 @@ func (h *hopTrace) context() tracing.Context {
 	return tracing.Context{TraceID: h.trace, SpanID: h.last}
 }
 
-// instant records a standalone instant span, used for swarm-wide events
-// (choke/unchoke, discovery rewires) that belong to no single trace.
-func instant(tr *tracing.Collector, name string, node, peer, piece int) {
-	tr.Record(tracing.Span{
-		SpanID: tr.NewID(), Name: name, Node: node, Peer: peer, Piece: piece,
-		Start: time.Now().UnixNano(),
-	})
+// instant records a standalone instant span toward peer, used for
+// swarm-wide events (choke/unchoke, discovery rewires) that belong to no
+// single trace or piece. A no-op with tracing off.
+func (n *Node) instant(name string, peer int) {
+	if n.tracer != nil {
+		n.tracer.Record(tracing.Span{
+			SpanID: n.tracer.NewID(), Name: name, Node: n.cfg.ID, Peer: peer, Piece: -1, Start: n.nowNs(),
+		})
+	}
 }
 
 // traceHex formats a trace ID for log correlation; grep for it across node

@@ -213,7 +213,7 @@ func TestStopDrainAccounting(t *testing.T) {
 	}
 
 	conn := newBlockConn()
-	r := newRemote(1, conn, testPieces, "", n.metrics, nil, 0)
+	r := newRemote(1, conn, "", n)
 	n.mu.Lock()
 	n.peers[1] = r
 	n.conns[conn] = true
@@ -427,7 +427,7 @@ func BenchmarkOutboxUntraced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := newRemote(1, nopConn{}, 4, "", n.metrics, nil, 0)
+	r := newRemote(1, nopConn{}, "", n)
 	var msg protocol.Message = protocol.Piece{Index: 1, RepaysKeyID: protocol.NoRepay, Data: make([]byte, 64)}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -149,11 +149,8 @@ func (n *Node) tryUpload() bool {
 	n.markSentLocked(r.id, idx)
 	// Trace decision while mu still guards pieceTrace: continue the trace
 	// this piece arrived under, or let the sampler mint a fresh one. Nil
-	// means untraced — the send path then runs the pre-tracing code exactly.
-	var ut *uploadTrace
-	if n.tracer != nil {
-		ut = n.uploadTraceLocked(idx, r.id)
-	}
+	// means untraced.
+	ut := n.uploadTraceLocked(idx, r.id)
 	n.mu.Unlock()
 
 	data, err := n.cfg.Store.GetRef(idx)
@@ -234,32 +231,25 @@ func (n *Node) markSentLocked(peerID, idx int) {
 // (repaysKeyID = NoRepay for ordinary uploads). Ordinary uploads respect
 // the peer's bounded bulk queue; repayment pieces travel the control path —
 // dropping one would strand the counterpart's escrowed key forever, so
-// they are never refused. Accounting only happens for accepted frames.
-// ut, when non-nil, traces the push (see trace.go); the frame then carries
-// the trace context to the receiver.
+// they are never refused while the link is up. Accounting only happens for
+// accepted frames. ut, when non-nil, traces the push (see trace.go); the
+// frame then carries the trace context to the receiver.
 func (n *Node) sendPiece(r *remote, idx int, data []byte, repaysKeyID uint64, ut *uploadTrace) bool {
-	msg := protocol.Piece{Index: int32(idx), RepaysKeyID: repaysKeyID, Data: data}
-	if ut != nil {
-		msg.Trace = ut.tc
-	}
-	if repaysKeyID != protocol.NoRepay {
-		if ut != nil {
-			r.enqueueTraced(msg, ut)
-		} else {
-			r.enqueue(msg)
-		}
-	} else if ut != nil {
-		if !r.enqueueDataTraced(msg, ut) {
-			return false
-		}
-	} else if !r.enqueueData(msg) {
+	msg := protocol.Piece{Index: int32(idx), RepaysKeyID: repaysKeyID, Data: data, Trace: ut.context()}
+	if !r.push(msg, repaysKeyID == protocol.NoRepay, ut) {
 		return false
 	}
-	n.metrics.noteUpload(r.id, len(data))
-	n.mu.Lock()
-	n.strategy.OnSent(n.view(), incentive.PeerID(r.id), float64(len(data)))
-	n.mu.Unlock()
+	n.noteSent(r.id, len(data))
 	return true
+}
+
+// noteSent accounts one accepted piece payload toward peer: the upload
+// counters and the strategy's OnSent.
+func (n *Node) noteSent(peer, size int) {
+	n.metrics.noteUpload(peer, size)
+	n.mu.Lock()
+	n.strategy.OnSent(n.view(), incentive.PeerID(peer), float64(size))
+	n.mu.Unlock()
 }
 
 // sendSealed pushes an encrypted piece and records the reciprocation
@@ -284,19 +274,12 @@ func (n *Node) sendSealed(r *remote, idx int, data []byte, ut *uploadTrace) bool
 		Ciphertext: sealed.Ciphertext,
 		OriginID:   int32(n.cfg.ID),
 		OriginAddr: n.Addr(),
+		Trace:      ut.context(),
 	}
-	if ut != nil {
-		msg.Trace = ut.tc
-	}
-	accepted := false
-	if ut != nil {
-		accepted = r.enqueueDataTraced(msg, ut)
-	} else {
-		accepted = r.enqueueData(msg)
-	}
-	if !accepted {
-		// Queue full: unwind the seal as if it never happened, so the
-		// escrow and demand ledgers do not accumulate unsent obligations.
+	if !r.push(msg, true, ut) {
+		// Queue full or link closed: unwind the seal as if it never
+		// happened, so the escrow and demand ledgers do not accumulate
+		// unsent obligations.
 		n.recip.Take(sealed.KeyID)
 		n.escrow.Revoke(sealed.KeyID)
 		n.mu.Lock()
@@ -304,10 +287,7 @@ func (n *Node) sendSealed(r *remote, idx int, data []byte, ut *uploadTrace) bool
 		n.mu.Unlock()
 		return false
 	}
-	n.metrics.noteUpload(r.id, len(data))
-	n.mu.Lock()
-	n.strategy.OnSent(n.view(), incentive.PeerID(r.id), float64(len(data)))
-	n.mu.Unlock()
+	n.noteSent(r.id, len(data))
 
 	// Endgame fallback: if the receiver has genuinely reciprocated before
 	// and still owes this one after the grace period (typically because

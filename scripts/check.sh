@@ -109,6 +109,14 @@ echo "== attestation adversary gate =="
 go test -race -count=1 -run 'TestAdversariesEarnZeroVerifiedReputation|TestReplayedReceiptCreditsOnce' ./internal/attack
 go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks' ./internal/node
 
+echo "== node counter and trace repeat gate =="
+# The node's books read after Stop (Stats vs the registry, the ledger vs
+# the receipt counters) and the T-Chain trace chain (seal → key → verify,
+# repayment continuations, piece.slow trace tags), ten times each under the
+# race detector: both book tests once failed intermittently by reading a
+# still-moving swarm, so one pass alone is not evidence.
+go test -race -count=10 -run 'TestStatsShim|TestClusterAttestationEndToEnd|TestTChainTracing' ./internal/node
+
 echo "== attestation allocation guard =="
 # Session-scheme receipts ride the in-process cluster hot path (one sign at
 # the receiver, one verify at the ledger, per piece), so both must stay
