@@ -333,6 +333,8 @@ func runGet(opts getOptions, stdout io.Writer) error {
 	stats := n.Stats()
 	summary := cli.NewRunSummary(len(content), manifest.NumPieces(), wall,
 		stats.FramesSent, stats.FramesReceived, memAfter.Mallocs-memBefore.Mallocs)
+	summary.UploadedBytes = int64(stats.UploadedBytes)
+	summary.DuplicateBytes = int64(stats.DuplicateBytes)
 	report := getReport{RunSummary: summary, Out: opts.outPath, Algorithm: mechanism.String(), MetricsAddr: tel.addr}
 	if err := tel.stop(report); err != nil {
 		return err

@@ -144,6 +144,16 @@ func TestSeedAndGetEndToEnd(t *testing.T) {
 	if summary.FramesSent <= 0 || summary.FramesReceived <= 0 {
 		t.Errorf("frame counters not positive: %+v", summary.RunSummary)
 	}
+	// The waste counters are part of the summary even when they read zero.
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(jsonOut.String()), &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"duplicate_bytes", "uploaded_bytes"} {
+		if _, ok := fields[key]; !ok {
+			t.Errorf("summary lacks %q: %s", key, jsonOut.String())
+		}
+	}
 	if summary.Algorithm != "T-Chain" {
 		t.Errorf("algorithm = %q", summary.Algorithm)
 	}

@@ -165,6 +165,11 @@ type RunSummary struct {
 	// run (runtime.MemStats.Mallocs delta) — the wire path's allocation
 	// behaviour at one remove, since a run is dominated by frame traffic.
 	AllocObjects uint64 `json:"alloc_objects"`
+	// UploadedBytes counts piece payload bytes this node sent to peers.
+	UploadedBytes int64 `json:"uploaded_bytes"`
+	// DuplicateBytes counts received bytes of pieces the node already held
+	// — wire traffic that bought nothing, refused before hashing.
+	DuplicateBytes int64 `json:"duplicate_bytes"`
 }
 
 // NewRunSummary derives the rate fields from the raw counters. A

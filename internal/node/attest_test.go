@@ -56,21 +56,21 @@ func sumCounter(c *Cluster, name string) int64 {
 }
 
 // TestClusterAttestationEndToEnd checks the proof-first accounting books
-// after a full signed swarm: every piece delivery produced exactly one
-// receipt, the shared ledger's scores are the byte-exact sum of those
-// verified proofs, and nothing was rejected.
+// after a full signed swarm: every first delivery of a piece produced
+// exactly one receipt and no duplicate produced any, the shared ledger's
+// scores are the byte-exact sum of those verified proofs, and nothing was
+// rejected.
 func TestClusterAttestationEndToEnd(t *testing.T) {
 	const leechers = 4
 	c := startSignedCluster(t, transport.NewMem(), leechers)
-	// Completion does not quiesce the swarm: duplicate pushes and their
-	// receipts are still crediting while the books are read one by one.
-	// Stop first, so the ledger and every counter hold their final values.
+	// Completion does not quiesce the swarm: duplicate pushes and receipt
+	// copies are still moving while the books are read one by one. Stop
+	// first, so the ledger and every counter hold their final values.
 	c.Stop()
 
-	// Racing duplicate deliveries are genuine uploads and are credited too
-	// (Store.Put is idempotent), so delivery-derived quantities are lower
-	// bounds while proofs, scores, and counters must agree exactly.
-	minDeliveries := int64(leechers * testPieces)
+	// Store.Add admits each piece once and only a first delivery earns a
+	// receipt, so every leecher proves exactly one delivery per piece.
+	deliveries := int64(leechers * testPieces)
 
 	var valid, invalid uint64
 	var score float64
@@ -79,8 +79,8 @@ func TestClusterAttestationEndToEnd(t *testing.T) {
 		invalid += s.Invalid
 		score += s.Score
 	}
-	if int64(valid) < minDeliveries || invalid != 0 {
-		t.Errorf("ledger proofs = %d valid / %d invalid, want >= %d / 0", valid, invalid, minDeliveries)
+	if int64(valid) != deliveries || invalid != 0 {
+		t.Errorf("ledger proofs = %d valid / %d invalid, want %d / 0", valid, invalid, deliveries)
 	}
 	if want := float64(valid) * testPieceSize; score != want {
 		t.Errorf("ledger score sum = %g, want %g (one piece per proof)", score, want)

@@ -196,7 +196,7 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 // should close. Messages arrive under the transport's zero-copy contract:
 // bulk byte fields may alias connection-owned scratch that the next Recv
 // reuses, so every handler either consumes them synchronously (Bitfield,
-// Piece via Store.Put's verify-and-copy) or copies what it retains
+// Piece via Store.Add's verify-and-copy) or copies what it retains
 // (SealedPiece ciphertext).
 func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 	switch m := msg.(type) {
@@ -275,19 +275,33 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 	return false
 }
 
-// handlePiece verifies and stores a plaintext piece, credits the sender,
-// and — if the piece repays one of our seals — releases the key. m.Data may
-// alias the connection's decode scratch; Store.Put is the zero-copy
-// hand-off (verify, then copy into the store), after which the scratch is
-// free to be reused by the next Recv.
+// handlePiece stores a plaintext piece, credits the sender, and — if the
+// piece repays one of our seals — releases the key. m.Data may alias the
+// connection's decode scratch; Store.Add is the zero-copy hand-off (verify,
+// then copy into the store), after which the scratch is free to be reused
+// by the next Recv. A piece already held is refused before hashing and
+// earns no receipt: a duplicate costs one bitfield probe and one counter.
 func (n *Node) handlePiece(r *remote, m protocol.Piece) {
-	h := n.hopStart(m.Trace, tracing.SpanWireRecv, r.id, int(m.Index))
-	if err := n.cfg.Store.Put(int(m.Index), m.Data); err != nil {
-		return // forged or duplicate data; Put verified the hash
+	idx := int(m.Index)
+	h := n.hopStart(m.Trace, tracing.SpanWireRecv, r.id, idx)
+	added, err := n.cfg.Store.Add(idx, m.Data)
+	if err != nil {
+		return // forged data or a bad index; Add verified the hash
 	}
-	n.acceptVerified(r, r.id, int(m.Index), len(m.Data), h)
+	repays := m.RepaysKeyID != protocol.NoRepay
+	if added {
+		n.acceptVerified(r, r.id, idx, len(m.Data), h)
+	} else {
+		n.metrics.noteDuplicate(len(m.Data))
+		// A repayment releases escrowed keys, so its bytes must prove
+		// themselves even when the piece itself is no news: forged bytes
+		// for a held index must never unlock a key.
+		if repays && n.cfg.Store.Manifest().Verify(idx, m.Data) != nil {
+			return
+		}
+	}
 
-	if m.RepaysKeyID != protocol.NoRepay {
+	if repays {
 		// Direct reciprocation for a seal we sent to r.
 		released := n.recip.Confirm(n.cfg.ID, r.id)
 		if len(released) > 0 {
@@ -297,13 +311,15 @@ func (n *Node) handlePiece(r *remote, m protocol.Piece) {
 	}
 }
 
-// acceptVerified is the tail every verified piece runs once Store.Put has
-// accepted it, whether it arrived as plaintext (handlePiece) or as a seal a
-// key just unlocked (handleKey): receipt, credit, trace continuation, byte
-// accounting, the strategy's OnReceived, the moot-seal sweep, the Have
-// broadcast and the completion check. from is the credited sender; to
-// receives the receipt copy (nil when the sender is no longer a neighbor).
-// h, when non-nil, chains store.verify → attest.sign → ledger.credit.
+// acceptVerified is the tail every newly stored piece runs once Store.Add
+// has accepted it, whether it arrived as plaintext (handlePiece) or as a
+// seal a key just unlocked (handleKey): receipt, credit, trace
+// continuation, byte accounting, the strategy's OnReceived, the moot-seal
+// sweep, the Have broadcast and the completion check. Add admits each
+// piece once, so each piece gets exactly one receipt and one credit. from
+// is the credited sender; to receives the receipt copy (nil when the
+// sender is no longer a neighbor). h, when non-nil, chains store.verify →
+// attest.sign → ledger.credit.
 func (n *Node) acceptVerified(to *remote, from, idx, size int, h *hopTrace) {
 	h.step(tracing.SpanStoreVerify)
 	// Continuation anchored at the verify span: onward uploads of this piece
@@ -322,14 +338,7 @@ func (n *Node) acceptVerified(to *remote, from, idx, size int, h *hopTrace) {
 		n.pieceTrace[idx] = cont
 	}
 	n.noteFirstByteLocked(idx)
-	// A racing duplicate (Put is idempotent) still credits the ledger as
-	// before, but the byte counters only attribute first deliveries so
-	// per-peer sums equal verified content bytes.
-	if n.myBits.Has(idx) {
-		n.metrics.noteDuplicate(size)
-	} else {
-		n.metrics.noteDownload(from, size)
-	}
+	n.metrics.noteDownload(from, size)
 	n.strategy.OnReceived(n.view(), incentive.PeerID(from), float64(size))
 	// A pending seal for this index is now moot; drop the ciphertext.
 	for keyID, pending := range n.pendingSeals {
@@ -495,8 +504,13 @@ func (n *Node) handleKey(m protocol.Key) {
 	if err != nil {
 		return
 	}
-	if err := n.cfg.Store.Put(pending.index, plaintext); err != nil {
+	added, err := n.cfg.Store.Add(pending.index, plaintext)
+	if err != nil {
 		return // wrong key or corrupt ciphertext: hash check failed
+	}
+	if !added {
+		n.metrics.noteDuplicate(len(plaintext))
+		return
 	}
 	n.acceptVerified(origin, pending.originID, pending.index, len(plaintext), h)
 }
@@ -674,8 +688,8 @@ func (n *Node) bitfieldMsg() protocol.Bitfield {
 // the bit locally, adjusts every neighbor's interest counters, and
 // enqueues the Have announcements — enqueue never blocks, so doing it
 // under the lock trades the old per-piece target-snapshot allocation for a
-// few queue appends. Duplicate gains (two peers racing the same piece
-// through Store.Put) are detected by the bitfield and ignored.
+// few queue appends. Store.Add admits each piece once, so a gain is never
+// a duplicate; the bitfield check guards the invariant all the same.
 func (n *Node) noteGainedLocked(index int) {
 	if !n.myBits.Set(index) {
 		return

@@ -23,7 +23,7 @@ import (
 //	node_frames_sent_total{class="control"|"bulk"} / node_frames_received_total
 //	node_backpressure_refusals_total    bulk frames refused by a full peer queue
 //	node_pieces_verified_total
-//	node_duplicate_piece_bytes_total    verified deliveries of pieces already held
+//	node_duplicate_piece_bytes_total    received bytes of pieces already held (refused unhashed)
 //	node_peer_upload_bytes_total{peer="N"} / node_peer_download_bytes_total{peer="N"}
 //	node_upload_piece_bytes / node_download_piece_bytes     histograms
 //	node_span_want_to_first_byte_ns     first neighbor sighting -> first data
@@ -211,10 +211,12 @@ func (m *nodeMetrics) attestRejected(err error) *metrics.Counter {
 	}
 }
 
-// noteDuplicate records a verified delivery of a piece we already held —
+// noteDuplicate records the received bytes of a piece we already held —
 // real wire traffic, but not useful volume (two peers pushed the same piece
-// concurrently). Kept out of the credited/per-peer counters so their sums
-// equal verified content bytes exactly.
+// concurrently). Store.Add refuses such a piece before hashing it, so these
+// bytes are unverified and earn no receipt; they stay out of the
+// credited/per-peer counters so those sums equal verified content bytes
+// exactly.
 func (m *nodeMetrics) noteDuplicate(bytes int) {
 	m.duplicateBytes.Add(int64(bytes))
 }

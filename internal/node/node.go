@@ -387,8 +387,9 @@ type Stats struct {
 	CreditedBytes  float64 // verified plaintext received (first deliveries only)
 	SealedPending  int     // ciphertext pieces awaiting keys
 	Neighbors      int
-	FramesSent     int64 // wire frames written across all peers
-	FramesReceived int64 // wire frames dispatched across all peers
+	FramesSent     int64   // wire frames written across all peers
+	FramesReceived int64   // wire frames dispatched across all peers
+	DuplicateBytes float64 // received bytes of pieces already held, refused unhashed
 }
 
 // Node is a live peer. Create with New, run with Start, stop with Stop.
@@ -703,6 +704,7 @@ func (n *Node) Stats() Stats {
 		Neighbors:      len(n.peers),
 		FramesSent:     n.metrics.framesControl.Value() + n.metrics.framesBulk.Value(),
 		FramesReceived: n.metrics.framesIn.Value(),
+		DuplicateBytes: float64(n.metrics.duplicateBytes.Value()),
 	}
 }
 

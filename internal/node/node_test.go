@@ -231,6 +231,16 @@ func TestNodeStopIdempotent(t *testing.T) {
 	_ = c.nodes[0].Stats()
 }
 
+// TestViewNowReadsNodeClock: the strategies' clock is the node clock,
+// read as seconds since Start.
+func TestViewNowReadsNodeClock(t *testing.T) {
+	n := startedNode(t, nil)
+	since := func() float64 { return float64(n.nowNs()-n.start.UnixNano()) / 1e9 }
+	if lo, now, hi := since(), n.view().Now(), since(); now < lo || now > hi {
+		t.Errorf("view Now = %g s, want within node clock reads [%g, %g]", now, lo, hi)
+	}
+}
+
 // TestUploadRateThrottle: a throttled seed uploads no faster than its
 // token bucket allows.
 func TestUploadRateThrottle(t *testing.T) {

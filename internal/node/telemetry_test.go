@@ -138,6 +138,10 @@ func TestStatsShim(t *testing.T) {
 			t.Errorf("node %d: Stats uploaded %v != counter %d",
 				st.ID, st.UploadedBytes, snap.Counters["node_uploaded_bytes_total"])
 		}
+		if int64(st.DuplicateBytes) != snap.Counters["node_duplicate_piece_bytes_total"] {
+			t.Errorf("node %d: Stats duplicate %v != counter %d",
+				st.ID, st.DuplicateBytes, snap.Counters["node_duplicate_piece_bytes_total"])
+		}
 		wantSent := snap.Counters[`node_frames_sent_total{class="control"}`] +
 			snap.Counters[`node_frames_sent_total{class="bulk"}`]
 		if st.FramesSent != wantSent {

@@ -24,8 +24,13 @@ type nodeView struct {
 var _ incentive.NodeView = nodeView{}
 
 func (v nodeView) Self() incentive.PeerID { return incentive.PeerID(v.n.cfg.ID) }
-func (v nodeView) Now() float64           { return time.Since(v.n.start).Seconds() }
 func (v nodeView) RNG() *rand.Rand        { return v.n.rng }
+
+// Now reads the node clock (nowNs) as seconds since Start, so strategies
+// and spans share one time base.
+func (v nodeView) Now() float64 {
+	return float64(v.n.nowNs()-v.n.start.UnixNano()) / float64(time.Second)
+}
 
 func (v nodeView) Neighbors() []incentive.PeerID {
 	out := v.n.neighborScratch[:0]

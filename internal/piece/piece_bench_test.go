@@ -74,3 +74,25 @@ func BenchmarkStorePut(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoreAddHeld is the duplicate-delivery fast path: Add of a piece
+// the store already holds must cost one read-locked probe — no hash, no
+// copy, no allocation.
+func BenchmarkStoreAddHeld(b *testing.B) {
+	m, err := SyntheticManifest(64, 16<<10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewStore(m)
+	data := SyntheticPiece(7, 16<<10)
+	if err := s.Put(7, data); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if added, err := s.Add(7, data); added || err != nil {
+			b.Fatalf("Add of held piece = (%v, %v)", added, err)
+		}
+	}
+}

@@ -100,8 +100,8 @@ func SyntheticPiece(i, pieceSize int) []byte {
 	return buf
 }
 
-// Store holds verified piece data for one peer. It verifies every Put
-// against the manifest hash, so corrupt or forged pieces never enter a
+// Store holds verified piece data for one peer. It verifies every piece it
+// adds against the manifest hash, so corrupt or forged pieces never enter a
 // peer's store. Safe for concurrent use (the live network node accesses it
 // from multiple goroutines).
 type Store struct {
@@ -140,26 +140,50 @@ func NewSeedStore(m *Manifest, content []byte) (*Store, error) {
 // Manifest returns the store's manifest.
 func (s *Store) Manifest() *Manifest { return s.manifest }
 
-// Put verifies data against the manifest hash for piece i and stores it.
-// It returns ErrHashMismatch if verification fails and ErrOutOfRange for a
-// bad index. Re-putting a held piece is a verified no-op.
-func (s *Store) Put(i int, data []byte) error {
-	if i < 0 || i >= s.manifest.NumPieces() {
-		return fmt.Errorf("piece %d of %d: %w", i, s.manifest.NumPieces(), ErrOutOfRange)
+// Verify checks data against the manifest hash for piece i. It returns
+// ErrHashMismatch if the content differs and ErrOutOfRange for a bad index.
+func (m *Manifest) Verify(i int, data []byte) error {
+	if i < 0 || i >= m.NumPieces() {
+		return fmt.Errorf("piece %d of %d: %w", i, m.NumPieces(), ErrOutOfRange)
 	}
-	if sha256.Sum256(data) != s.manifest.Hashes[i] {
+	if sha256.Sum256(data) != m.Hashes[i] {
 		return fmt.Errorf("piece %d: %w", i, ErrHashMismatch)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.have.Has(i) {
-		return nil
+	return nil
+}
+
+// Add stores piece i if it is not yet held and reports whether this call
+// added it. A held piece is refused before hashing: Add returns (false,
+// nil) at the cost of one read-locked bitfield probe, whatever data holds.
+// A piece not yet held is verified against the manifest (ErrHashMismatch,
+// ErrOutOfRange) and then re-checked under the write lock, so of several
+// concurrent callers adding the same piece exactly one sees added == true.
+func (s *Store) Add(i int, data []byte) (added bool, err error) {
+	if s.Has(i) {
+		return false, nil
+	}
+	// Verify also rejects an out-of-range index, which Has reports unheld.
+	if err := s.manifest.Verify(i, data); err != nil {
+		return false, err
 	}
 	stored := make([]byte, len(data))
 	copy(stored, data)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.have.Has(i) {
+		return false, nil // a concurrent Add won the race
+	}
 	s.data[i] = stored
 	s.have.Set(i)
-	return nil
+	return true, nil
+}
+
+// Put is Add without the added report: it verifies and stores piece i,
+// returning ErrHashMismatch or ErrOutOfRange on failure. Re-putting a held
+// piece is a no-op, unhashed.
+func (s *Store) Put(i int, data []byte) error {
+	_, err := s.Add(i, data)
+	return err
 }
 
 // Get returns a copy of piece i's data, or ErrNotHeld.
@@ -178,7 +202,7 @@ func (s *Store) Get(i int) ([]byte, error) {
 // GetRef returns piece i's stored bytes without copying, or ErrNotHeld.
 // The returned slice is the store's own buffer: callers must treat it as
 // read-only. That contract is safe to offer because stored buffers are
-// private copies made by Put and never mutated afterwards — it is what
+// private copies made by Add and never mutated afterwards — it is what
 // lets the live node hand pieces straight to the wire encoder with zero
 // per-send allocation.
 func (s *Store) GetRef(i int) ([]byte, error) {

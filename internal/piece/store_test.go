@@ -178,3 +178,62 @@ func TestStoreBitfieldSnapshot(t *testing.T) {
 		t.Error("snapshot mutated by later Put")
 	}
 }
+
+func TestStoreAddOnce(t *testing.T) {
+	m, _ := SyntheticManifest(4, 64)
+	s := NewStore(m)
+	data := SyntheticPiece(2, 64)
+	const callers = 16
+	var wg sync.WaitGroup
+	added := make(chan bool, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ok, err := s.Add(2, data)
+			if err != nil {
+				t.Error(err)
+			}
+			added <- ok
+		}()
+	}
+	wg.Wait()
+	close(added)
+	winners := 0
+	for ok := range added {
+		if ok {
+			winners++
+		}
+	}
+	if winners != 1 {
+		t.Errorf("%d of %d concurrent Adds reported added, want exactly 1", winners, callers)
+	}
+	if s.Count() != 1 {
+		t.Errorf("Count = %d, want 1", s.Count())
+	}
+}
+
+func TestStoreAddHeldSkipsVerify(t *testing.T) {
+	content := testContent(100)
+	m, _ := NewManifest(content, 40)
+	s := NewStore(m)
+	if added, err := s.Add(0, content[:40]); !added || err != nil {
+		t.Fatalf("first Add = (%v, %v), want (true, nil)", added, err)
+	}
+	// A held piece is refused before hashing: garbage is neither an error
+	// nor stored.
+	garbage := bytes.Repeat([]byte{0xee}, 40)
+	if added, err := s.Add(0, garbage); added || err != nil {
+		t.Errorf("Add of garbage to a held piece = (%v, %v), want (false, nil)", added, err)
+	}
+	if got, _ := s.Get(0); !bytes.Equal(got, content[:40]) {
+		t.Error("Add of garbage to a held piece changed the stored bytes")
+	}
+	// A piece not yet held is still verified.
+	if err := s.Put(1, garbage); !errors.Is(err, ErrHashMismatch) {
+		t.Errorf("Put of garbage to an unheld piece err = %v, want ErrHashMismatch", err)
+	}
+	if s.Has(1) {
+		t.Error("garbage stored for an unheld piece")
+	}
+}

@@ -99,15 +99,34 @@ if [ "$frame_allocs" -gt 1 ]; then
   exit 1
 fi
 
+echo "== duplicate fast-path guard =="
+# A piece the store already holds is refused before hashing: Store.Add on a
+# held index must cost one read-locked bitfield probe and 0 allocs/op. Any
+# allocation means the duplicate path started hashing, copying or building
+# errors again.
+dup_out=$(go test -run=NONE -bench='^BenchmarkStoreAddHeld$' -benchtime=10000x -benchmem ./internal/piece)
+echo "$dup_out"
+dup_allocs=$(echo "$dup_out" | awk '/^BenchmarkStoreAddHeld/ {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
+if [ -z "$dup_allocs" ]; then
+  echo "duplicate guard: could not parse benchmark output" >&2
+  exit 1
+fi
+if [ "$dup_allocs" != "0" ]; then
+  echo "duplicate guard: Store.Add of a held piece allocated $dup_allocs/op (must be 0) — the held check no longer precedes the hash" >&2
+  exit 1
+fi
+
 echo "== attestation adversary gate =="
 # The proof-first ledger's security claims again, explicitly and by name,
 # under the race detector: every forgery class (unsigned claim, re-signed
 # capture, sybil sock-puppet, self-receipt, replay) earns zero verified
 # reputation; a full signed swarm's books balance to the byte; and a
 # man-in-the-middle corrupting every receipt copy in flight is caught on
-# the ack audit path without touching the ledger.
+# the ack audit path without touching the ledger; a duplicate piece earns
+# no receipt, and a forged repayment for a piece already held releases no
+# escrowed key.
 go test -race -count=1 -run 'TestAdversariesEarnZeroVerifiedReputation|TestReplayedReceiptCreditsOnce' ./internal/attack
-go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks' ./internal/node
+go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks|TestDuplicatePieceCostsNothing|TestForgedRepaymentForHeldPieceReleasesNoKey' ./internal/node
 
 echo "== node counter and trace repeat gate =="
 # The node's books read after Stop (Stats vs the registry, the ledger vs
