@@ -16,7 +16,7 @@ import (
 )
 
 // Topology selects how a cluster wires its nodes together. The zero value
-// is the full mesh; Discovery and DiscoveryWith build DHT-wired topologies.
+// is the full mesh; Discovery builds a DHT-wired topology.
 type Topology struct {
 	discover *DiscoverConfig // nil = full mesh
 }
@@ -29,29 +29,20 @@ var FullMesh = Topology{}
 // Discovery wires the swarm through the Kademlia discovery layer: every
 // node bootstraps off at most three seeds and finds the rest of the swarm
 // via lookups and gossip, keeping its neighbor set near degree (hard cap
-// 2*degree). k is the routing bucket capacity and lookup width, alpha the
-// lookup parallelism; zero values take the DiscoverConfig defaults. The
-// maintenance intervals are tightened for in-process swarms (50ms degree
-// ticks, sub-second gossip) so clusters converge in test-scale time; use
-// DiscoveryWith for deployment-scale tuning.
-func Discovery(k, alpha, degree int) Topology {
-	return DiscoveryWith(DiscoverConfig{
+// 2*degree). k is the routing bucket capacity and lookup width; zero values
+// take the DiscoverConfig defaults. The maintenance intervals are tightened
+// for in-process swarms (50ms degree ticks, sub-second gossip) so clusters
+// converge in test-scale time.
+func Discovery(k, degree int) Topology {
+	return Topology{discover: &DiscoverConfig{
 		K:                k,
-		Alpha:            alpha,
 		TargetDegree:     degree,
 		MaintainInterval: 50 * time.Millisecond,
 		AnnounceInterval: 500 * time.Millisecond,
 		RefreshInterval:  time.Second,
 		PingInterval:     2 * time.Second,
 		QueryTimeout:     500 * time.Millisecond,
-	})
-}
-
-// DiscoveryWith wires the swarm through the discovery layer with full
-// control over the DiscoverConfig.
-func DiscoveryWith(cfg DiscoverConfig) Topology {
-	c := cfg.withDefaults()
-	return Topology{discover: &c}
+	}}
 }
 
 // clusterKeySeed derives the default deterministic node keypairs; any
@@ -155,7 +146,7 @@ func WithDecisionInterval(d time.Duration) ClusterOption {
 }
 
 // WithTopology selects the swarm wiring: FullMesh (the default) or
-// Discovery/DiscoveryWith.
+// Discovery.
 func WithTopology(t Topology) ClusterOption {
 	return func(o *clusterOptions) error {
 		o.topology = t

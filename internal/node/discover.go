@@ -20,18 +20,14 @@ import (
 // over FindNode/Nodes RPCs, learns peers through gossip (Announce frames and
 // handshake peer exchange), and keeps a degree-bounded neighbor set alive by
 // dialing routing-table candidates and pinging idle links. Zero values take
-// the defaults noted per field.
+// the defaults noted per field. Lookups query lookupAlpha contacts in
+// parallel, inbound handshakes are accepted up to twice TargetDegree (see
+// maxDegree), and a link silent for pingMisses ping intervals is closed.
 type DiscoverConfig struct {
 	// K is the bucket capacity and lookup width (Kademlia's k; default 16).
 	K int
-	// Alpha is the lookup parallelism (default 3).
-	Alpha int
 	// TargetDegree is how many neighbors the node dials toward (default 8).
 	TargetDegree int
-	// MaxDegree caps accepted neighbors; surplus inbound handshakes are
-	// redirected — answered with the closest known contacts plus Bye —
-	// instead of registered (default 2*TargetDegree).
-	MaxDegree int
 	// MaintainInterval is the degree/liveness maintenance tick (default 150ms).
 	MaintainInterval time.Duration
 	// AnnounceInterval is how often the node gossips its own contact
@@ -43,9 +39,6 @@ type DiscoverConfig struct {
 	// PingInterval is how long a neighbor link may stay silent before it is
 	// pinged (default 5s).
 	PingInterval time.Duration
-	// PingTimeout is how long a link may stay silent before it is declared
-	// dead and closed (default 3*PingInterval).
-	PingTimeout time.Duration
 	// QueryTimeout bounds one transient FindNode RPC (default 1s).
 	QueryTimeout time.Duration
 }
@@ -55,17 +48,8 @@ func (c DiscoverConfig) withDefaults() DiscoverConfig {
 	if c.K <= 0 {
 		c.K = 16
 	}
-	if c.Alpha <= 0 {
-		c.Alpha = 3
-	}
 	if c.TargetDegree <= 0 {
 		c.TargetDegree = 8
-	}
-	if c.MaxDegree <= 0 {
-		c.MaxDegree = 2 * c.TargetDegree
-	}
-	if c.MaxDegree < c.TargetDegree {
-		c.MaxDegree = c.TargetDegree
 	}
 	if c.MaintainInterval <= 0 {
 		c.MaintainInterval = 150 * time.Millisecond
@@ -79,16 +63,23 @@ func (c DiscoverConfig) withDefaults() DiscoverConfig {
 	if c.PingInterval <= 0 {
 		c.PingInterval = 5 * time.Second
 	}
-	if c.PingTimeout <= 0 {
-		c.PingTimeout = 3 * c.PingInterval
-	}
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = time.Second
 	}
 	return c
 }
 
+// maxDegree caps accepted neighbors: surplus inbound handshakes are
+// redirected — answered with the closest known contacts plus Bye — instead
+// of registered. Twice the target leaves starvation rewiring room to widen.
+func (c DiscoverConfig) maxDegree() int { return 2 * c.TargetDegree }
+
 const (
+	// lookupAlpha is the lookup parallelism (Kademlia's alpha).
+	lookupAlpha = 3
+	// pingMisses is how many ping intervals a link may stay silent before it
+	// is declared dead and closed.
+	pingMisses = 3
 	// announceTTL bounds gossip propagation depth; with fanout 3 an
 	// announce reaches ~fanout^TTL nodes, plenty for the swarm sizes the
 	// repo runs while keeping traffic linear.
@@ -107,7 +98,7 @@ const (
 	redirectLinger = 2 * time.Second
 	// starveTicksToWiden is how many consecutive maintain ticks a node must
 	// spend starved — incomplete and gaining no pieces — before it dials
-	// past TargetDegree toward MaxDegree for fresh links.
+	// past TargetDegree toward maxDegree for fresh links.
 	starveTicksToWiden = 4
 	// starveTicksToRotate is the longer starvation threshold at which the
 	// node drops one random neighbor to force rewiring: its current links
@@ -161,16 +152,17 @@ type discState struct {
 //	discovery_lookup_ns                    iterative lookup latency histogram
 //	discovery_queries_sent_total / discovery_queries_served_total
 //	discovery_announces_sent_total / _forwarded_total / _stale_total
-//	discovery_redirects_total              inbound handshakes refused at MaxDegree
+//	discovery_redirects_total              inbound handshakes refused at maxDegree
 //	discovery_dial_failures_total
 //	discovery_pings_sent_total
 //	discovery_peers_expired_total          links closed by the ping timeout
 //	discovery_rewires_total                links dropped by starvation rewiring
 //	discovery_bucket_occupancy{bucket=N}   contacts per k-bucket (gauges)
 func newDiscState(cfg DiscoverConfig, nodeID int, seed int64, reg *metrics.Registry) *discState {
+	cfg = cfg.withDefaults()
 	d := &discState{
-		cfg:            cfg.withDefaults(),
-		table:          discovery.NewTable(nodeID, cfg.withDefaults().K),
+		cfg:            cfg,
+		table:          discovery.NewTable(nodeID, cfg.K),
 		rng:            rand.New(rand.NewSource(seed ^ 0x5bd1e995)),
 		seen:           make(map[int32]uint32),
 		dialing:        make(map[int]bool),
@@ -214,12 +206,12 @@ func (n *Node) RoutingTable() *discovery.Table {
 }
 
 // roomForPeer reports whether another neighbor could be admitted: the
-// degree is below MaxDegree, or an exhausted link (see evictableLocked)
+// degree is below maxDegree, or an exhausted link (see evictableLocked)
 // could be dropped to make room.
 func (n *Node) roomForPeer() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.peers) < n.disc.cfg.MaxDegree || n.evictableLocked() != nil
+	return len(n.peers) < n.disc.cfg.maxDegree() || n.evictableLocked() != nil
 }
 
 // evictableLocked (n.mu held) returns a neighbor whose link carries no
@@ -228,7 +220,7 @@ func (n *Node) roomForPeer() bool {
 // newcomer is what keeps a degree-saturated clique of finished nodes from
 // locking the rest of the swarm out: without it, the seed's early
 // neighbors complete, stay wired to each other forever, and a late joiner
-// finds every node with content at MaxDegree.
+// finds every node with content at maxDegree.
 func (n *Node) evictableLocked() *remote {
 	if !n.myBits.Complete() {
 		return nil
@@ -243,19 +235,17 @@ func (n *Node) evictableLocked() *remote {
 	return nil
 }
 
-// lingerRedirect holds a refused connection open until the redirected
-// dialer hangs up, bounded by a watchdog. Transports that deliver
-// asynchronously (injected latency) would otherwise destroy the redirect's
-// Nodes frame in flight when the caller's deferred Close tears the
-// connection down — leaving the refused dialer with no contacts to try,
-// which at bootstrap time strands it permanently.
-func (n *Node) lingerRedirect(conn transport.Conn) {
+// watch bounds conn: one goroutine closes it after d, or at once when the
+// node stops, unless release is called first. transport.Conn has no
+// deadlines, so this is how every transient session and lingering link is
+// kept from outliving its purpose or the node. The caller must hold a wg
+// slot (the watchdog takes its own before the caller's can drain).
+func (n *Node) watch(conn transport.Conn, d time.Duration) (release func()) {
 	done := make(chan struct{})
-	defer close(done)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		t := time.NewTimer(redirectLinger)
+		t := time.NewTimer(d)
 		defer t.Stop()
 		select {
 		case <-done:
@@ -265,11 +255,35 @@ func (n *Node) lingerRedirect(conn transport.Conn) {
 			conn.Close()
 		}
 	}()
+	return func() { close(done) }
+}
+
+// linger sends frames and then Bye on conn, and holds the link open until
+// the peer hangs up, bounded by watch(d). Transports that deliver
+// asynchronously (injected latency) would otherwise destroy the last frames
+// in flight when the caller closes the connection — a refused dialer would
+// lose the redirect's contacts, which at bootstrap time strands it
+// permanently, and an origin would lose a witness receipt.
+func (n *Node) linger(conn transport.Conn, d time.Duration, frames ...protocol.Message) {
+	defer n.watch(conn, d)()
+	for _, m := range append(frames, protocol.Bye{}) {
+		if conn.Send(m) != nil {
+			return
+		}
+	}
 	for {
 		if _, err := conn.Recv(); err != nil {
 			return
 		}
 	}
+}
+
+// redirect refuses a handshake at capacity but leaves the dialer better
+// off: the closest contacts we know toward it, then Bye, lingering until it
+// hangs up.
+func (n *Node) redirect(conn transport.Conn, peerID int) {
+	n.disc.redirects.Inc()
+	n.linger(conn, redirectLinger, protocol.Nodes{Contacts: n.closestInfos(discovery.IDOf(peerID))})
 }
 
 // discoverLoop is the discovery heartbeat: degree and liveness maintenance
@@ -333,9 +347,9 @@ func (n *Node) spawnLookup(target discovery.ID) {
 			d.lookupBusy = false
 			d.mu.Unlock()
 		}()
-		start := time.Now()
-		d.table.Lookup(target, d.cfg.K, d.cfg.Alpha, n.queryContact)
-		d.lookupNs.Observe(time.Since(start).Nanoseconds())
+		start := n.nowNs()
+		d.table.Lookup(target, d.cfg.K, lookupAlpha, n.queryContact)
+		d.lookupNs.Observe(n.nowNs() - start)
 	}()
 }
 
@@ -354,7 +368,7 @@ func (n *Node) spawnLookup(target discovery.ID) {
 // deliver — under T-Chain a late joiner surrounded by finished peers
 // receives sealed pieces it cannot reciprocate for, so no key ever
 // arrives. After starveTicksToWiden no-progress ticks the dial goal
-// widens from TargetDegree to MaxDegree; after starveTicksToRotate the
+// widens from TargetDegree to maxDegree; after starveTicksToRotate the
 // node starts dropping one random neighbor per rotation interval,
 // churning its link set through the candidate table until something —
 // typically a plaintext-serving seed — feeds it.
@@ -371,7 +385,7 @@ func (n *Node) maintainDegree() {
 	}
 	goal := d.cfg.TargetDegree
 	if d.starveTicks >= starveTicksToWiden {
-		goal = d.cfg.MaxDegree
+		goal = d.cfg.maxDegree()
 	}
 	var victim *remote
 	if d.starveTicks >= starveTicksToRotate && len(n.peers) > 0 {
@@ -449,7 +463,7 @@ func (n *Node) maintainDegree() {
 // contact we are not already wired to — the precondition for starvation
 // rewiring to be worth a dropped link.
 func (n *Node) hasUnconnectedCandidate(connected map[int]bool) bool {
-	for _, c := range n.disc.table.NeighborCandidates(2 * n.disc.cfg.MaxDegree) {
+	for _, c := range n.disc.table.NeighborCandidates(2 * n.disc.cfg.maxDegree()) {
 		if c.NodeID != n.cfg.ID && !connected[c.NodeID] {
 			return true
 		}
@@ -503,25 +517,19 @@ func (n *Node) dialContact(c discovery.Contact) {
 }
 
 // checkLiveness pings neighbors whose link has been silent past
-// PingInterval and closes links silent past PingTimeout; the closed
+// PingInterval and closes links silent for pingMisses intervals; the closed
 // connection's read loop then runs the normal peer teardown.
 func (n *Node) checkLiveness() {
 	d := n.disc
-	n.mu.Lock()
-	peers := make([]*remote, 0, len(n.peers))
-	for _, r := range n.peers {
-		peers = append(peers, r)
-	}
-	n.mu.Unlock()
 	now := n.nowNs()
-	for _, r := range peers {
+	interval := d.cfg.PingInterval.Nanoseconds()
+	for _, r := range n.remotes() {
 		idle := now - r.lastRecv.Load()
 		switch {
-		case idle > d.cfg.PingTimeout.Nanoseconds():
+		case idle > pingMisses*interval:
 			d.peersExpired.Inc()
 			r.conn.Close()
-		case idle > d.cfg.PingInterval.Nanoseconds() &&
-			now-r.lastPing.Load() > d.cfg.PingInterval.Nanoseconds():
+		case idle > interval && now-r.lastPing.Load() > interval:
 			r.lastPing.Store(now)
 			d.mu.Lock()
 			d.pingSeq++
@@ -622,9 +630,8 @@ func (n *Node) closestInfos(target discovery.ID) []protocol.NodeInfo {
 // queryContact is the discovery.QueryFunc the lookups run on: a transient
 // connection that speaks FindNode as its very first frame — no Hello, so
 // the remote's accept path serves a discovery mini-session instead of a
-// peer handshake — and waits for the matching Nodes reply. transport.Conn
-// has no deadlines, so a watchdog goroutine bounds the RPC by closing the
-// conn on QueryTimeout or node shutdown.
+// peer handshake — and waits for the matching Nodes reply, bounded by
+// watch(QueryTimeout).
 func (n *Node) queryContact(c discovery.Contact, target discovery.ID) ([]discovery.Contact, error) {
 	d := n.disc
 	if c.NodeID == n.cfg.ID {
@@ -637,21 +644,7 @@ func (n *Node) queryContact(c discovery.Contact, target discovery.ID) ([]discove
 		return nil, err
 	}
 	defer conn.Close()
-	done := make(chan struct{})
-	defer close(done)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		t := time.NewTimer(d.cfg.QueryTimeout)
-		defer t.Stop()
-		select {
-		case <-done:
-		case <-t.C:
-			conn.Close()
-		case <-n.done:
-			conn.Close()
-		}
-	}()
+	defer n.watch(conn, d.cfg.QueryTimeout)()
 	d.mu.Lock()
 	d.querySeq++
 	seq := d.querySeq
@@ -682,11 +675,9 @@ func (n *Node) queryContact(c discovery.Contact, target discovery.ID) ([]discove
 
 // sendTransientReceipt delivers a T-Chain receipt frame (Receipt, or
 // AttestedReceipt on a signing node) to an origin the witness is not wired
-// to: dial, send, and hold the connection open until the origin hangs up
-// (an asynchronous transport would destroy the in-flight frame on an
-// immediate close), bounded by the query-timeout watchdog. Fire-and-forget
-// — a lost receipt costs one key release, which the origin's endgame grace
-// covers for trusted receivers.
+// to: dial, then linger (send, Bye, hold until the origin hangs up) bounded
+// by the query timeout. Fire-and-forget — a lost receipt costs one key
+// release, which the origin's endgame grace covers for trusted receivers.
 func (n *Node) sendTransientReceipt(addr string, receipt protocol.Message) {
 	d := n.disc
 	n.wg.Add(1)
@@ -698,53 +689,17 @@ func (n *Node) sendTransientReceipt(addr string, receipt protocol.Message) {
 			return
 		}
 		defer conn.Close()
-		done := make(chan struct{})
-		defer close(done)
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			t := time.NewTimer(d.cfg.QueryTimeout)
-			defer t.Stop()
-			select {
-			case <-done:
-			case <-t.C:
-				conn.Close()
-			case <-n.done:
-				conn.Close()
-			}
-		}()
-		if conn.Send(receipt) != nil || conn.Send(protocol.Bye{}) != nil {
-			return
-		}
-		for {
-			if _, err := conn.Recv(); err != nil {
-				return
-			}
-		}
+		n.linger(conn, d.cfg.QueryTimeout, receipt)
 	}()
 }
 
 // serveDiscovery answers a transient discovery session: the accept path
 // lands here when a connection's first frame is not a Hello. It serves
-// FindNode and Ping until the client hangs up, Bye arrives, or the session
-// watchdog expires. The caller (handleConn) owns conn registration and
-// close.
+// FindNode and Ping until the client hangs up, Bye arrives, or
+// watch(discoverySessionTimeout) expires. The caller (handleConn) owns conn
+// registration and close.
 func (n *Node) serveDiscovery(conn transport.Conn, first protocol.Message) {
-	done := make(chan struct{})
-	defer close(done)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		t := time.NewTimer(discoverySessionTimeout)
-		defer t.Stop()
-		select {
-		case <-done:
-		case <-t.C:
-			conn.Close()
-		case <-n.done:
-			conn.Close()
-		}
-	}()
+	defer n.watch(conn, discoverySessionTimeout)()
 	msg := first
 	for {
 		switch m := msg.(type) {
@@ -761,13 +716,11 @@ func (n *Node) serveDiscovery(conn transport.Conn, first protocol.Message) {
 			}
 		case protocol.Receipt:
 			// A witness that does not neighbor us confirms a reciprocation
-			// out of band (see sendTransientReceipt). Signing nodes refuse
-			// the unsigned form, same as on established links.
-			if n.identity != nil {
-				n.metrics.attestReceiptsRejected.Inc()
+			// out of band (see sendTransientReceipt); its identity is
+			// unauthenticated, so the receipt names no particular witness.
+			if !n.handleReceipt(tchain.AnyPeer, m) {
 				return
 			}
-			n.confirmReceipt(tchain.AnyPeer, m)
 		case protocol.AttestedReceipt:
 			n.handleAttestedReceipt(m)
 		default:

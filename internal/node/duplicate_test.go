@@ -36,12 +36,11 @@ func signedNodeWithRawPeer(t *testing.T, held ...int) (*Node, *rawPeer) {
 			t.Fatal(err)
 		}
 	}
-	tr := transport.NewMem()
 	n, err := New(Config{
 		ID:        1,
 		Algorithm: algo.Altruism,
 		Store:     store,
-		Transport: tr,
+		Transport: transport.NewMem(),
 		Identity:  attest.NewKeyFromSeed(1, 1),
 	})
 	if err != nil {
@@ -50,9 +49,15 @@ func signedNodeWithRawPeer(t *testing.T, held ...int) (*Node, *rawPeer) {
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { n.Stop() })
+	t.Cleanup(func() { stopWithin(t, n, 10*time.Second) })
+	return n, dialRawPeer(t, n, rawPeerID)
+}
 
-	conn, err := tr.Dial(n.Addr())
+// dialRawPeer connects a raw peer announcing id that claims every piece,
+// and returns once the node has registered it.
+func dialRawPeer(t *testing.T, n *Node, id int32) *rawPeer {
+	t.Helper()
+	conn, err := n.cfg.Transport.Dial(n.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +66,7 @@ func signedNodeWithRawPeer(t *testing.T, held ...int) (*Node, *rawPeer) {
 	for i := range all {
 		all[i] = 0xff
 	}
-	hello := protocol.Hello{PeerID: rawPeerID, NumPieces: testPieces, PubKey: attest.NewKeyFromSeed(rawPeerID, 2).Public()}
+	hello := protocol.Hello{PeerID: id, NumPieces: testPieces, PubKey: attest.NewKeyFromSeed(id, 2).Public()}
 	if conn.Send(hello) != nil || conn.Send(protocol.Bitfield{NumPieces: testPieces, Bits: all}) != nil {
 		t.Fatal("handshake send failed")
 	}
@@ -87,9 +92,25 @@ func signedNodeWithRawPeer(t *testing.T, held ...int) (*Node, *rawPeer) {
 	waitFor(t, "node to register the raw peer", func() bool {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		return n.peers[rawPeerID] != nil
+		return n.peers[int(id)] != nil
 	})
-	return n, p
+	return p
+}
+
+// stopWithin stops n and fails the test if Stop has not returned within d:
+// a wedged node must fail its test, not hang the whole suite.
+func stopWithin(t *testing.T, n *Node, d time.Duration) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		n.Stop()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Errorf("node %d: Stop did not return within %v", n.ID(), d)
+	}
 }
 
 // waitFor polls cond until it holds, failing the test after five seconds.

@@ -39,10 +39,9 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 	if n.identity != nil {
 		hello.PubKey = n.identity.Public()
 	}
-	if dialer {
-		if conn.Send(hello) != nil || conn.Send(n.bitfieldMsg()) != nil {
-			return
-		}
+	greet := func() bool { return conn.Send(hello) == nil && conn.Send(n.bitfieldMsg()) == nil }
+	if dialer && !greet() {
+		return
 	}
 	first, err := conn.Recv()
 	if err != nil {
@@ -85,18 +84,10 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 	}
 	if !dialer {
 		if n.disc != nil && !n.roomForPeer() {
-			// At capacity: refuse the handshake but leave the dialer better
-			// off — the closest contacts we know toward it, then Bye. Linger
-			// until the dialer hangs up so an asynchronous transport actually
-			// delivers the redirect before the deferred Close kills it.
-			n.disc.redirects.Inc()
-			if conn.Send(protocol.Nodes{Contacts: n.closestInfos(discovery.IDOf(peerID))}) == nil &&
-				conn.Send(protocol.Bye{}) == nil {
-				n.lingerRedirect(conn)
-			}
+			n.redirect(conn, peerID) // at capacity
 			return
 		}
-		if conn.Send(hello) != nil || conn.Send(n.bitfieldMsg()) != nil {
+		if !greet() {
 			return
 		}
 	}
@@ -109,27 +100,21 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 		return // duplicate connection (simultaneous dial) or self-dial
 	}
 	var evicted *remote
-	if n.disc != nil && len(n.peers) >= n.disc.cfg.MaxDegree {
+	if n.disc != nil && len(n.peers) >= n.disc.cfg.maxDegree() {
 		// Late capacity check under the lock, covering both sides: the
 		// accept path's early redirect races concurrent handshakes (at
 		// startup, a whole swarm dials the bootstrap nodes inside one
 		// accept window), and our own in-flight dials could otherwise land
 		// past the cap. An exhausted link (both ends complete) is evicted
-		// to make room; otherwise MaxDegree is a hard bound, so refuse even
+		// to make room; otherwise maxDegree is a hard bound, so refuse even
 		// a link we dialed — but always redirect with contacts and linger
 		// for the hangup: a refused dialer that learns nothing may have no
 		// other way into the swarm.
 		if evicted = n.evictableLocked(); evicted != nil {
-			delete(n.peers, evicted.id)
-			n.strategy.Forget(incentive.PeerID(evicted.id))
-			delete(n.recentSends, evicted.id)
+			n.dropPeerLocked(evicted)
 		} else {
 			n.mu.Unlock()
-			n.disc.redirects.Inc()
-			if conn.Send(protocol.Nodes{Contacts: n.closestInfos(discovery.IDOf(peerID))}) == nil &&
-				conn.Send(protocol.Bye{}) == nil {
-				n.lingerRedirect(conn)
-			}
+			n.redirect(conn, peerID)
 			return
 		}
 	}
@@ -159,11 +144,7 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 
 	defer func() {
 		n.mu.Lock()
-		if n.peers[peerID] == r {
-			delete(n.peers, peerID)
-			n.strategy.Forget(incentive.PeerID(peerID))
-			delete(n.recentSends, peerID)
-		}
+		n.dropPeerLocked(r)
 		revoked := n.recip.Forget(peerID)
 		n.mu.Unlock()
 		for _, keyID := range revoked {
@@ -192,20 +173,39 @@ func (n *Node) handleConn(conn transport.Conn, dialer bool) {
 	}
 }
 
+// dropPeerLocked unregisters r (mu held) unless a later link already
+// replaced it: the peer map entry and the strategy's per-peer state. The
+// per-peer send history lives on r and goes with it.
+func (n *Node) dropPeerLocked(r *remote) {
+	if n.peers[r.id] == r {
+		delete(n.peers, r.id)
+		n.strategy.Forget(incentive.PeerID(r.id))
+	}
+}
+
 // dispatch handles one inbound message; it reports whether the connection
-// should close. Messages arrive under the transport's zero-copy contract:
-// bulk byte fields may alias connection-owned scratch that the next Recv
-// reuses, so every handler either consumes them synchronously (Bitfield,
-// Piece via Store.Add's verify-and-copy) or copies what it retains
-// (SealedPiece ciphertext).
+// should close: on Bye, and on a protocol violation — a Have or Bitfield
+// that does not fit this swarm's piece count, which no honest peer sends
+// and which must never reach a bitfield write under n.mu (Bitfield.Set
+// panics out of range, and the panicking reader's teardown would then wait
+// on n.mu forever). Messages arrive under the transport's zero-copy
+// contract: bulk byte fields may alias connection-owned scratch that the
+// next Recv reuses, so every handler either consumes them synchronously
+// (Bitfield, Piece via Store.Add's verify-and-copy) or copies what it
+// retains (SealedPiece ciphertext).
 func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 	switch m := msg.(type) {
 	case protocol.Bitfield:
+		if int(m.NumPieces) != r.have.Size() {
+			return true
+		}
 		n.mu.Lock()
-		for i := int32(0); i < m.NumPieces; i++ {
-			if int(i/8) < len(m.Bits) && m.Bits[i/8]&(1<<(uint(i)%8)) != 0 {
-				r.have.Set(int(i))
-				n.noteWantedLocked(int(i))
+		// Bits past len(Bits)*8 are simply absent; NumPieces matched ours, so
+		// the walk is bounded by our own piece count, not by the frame.
+		for i := range min(len(m.Bits)*8, r.have.Size()) {
+			if m.Bits[i/8]&(1<<(uint(i)%8)) != 0 {
+				r.have.Set(i)
+				n.noteWantedLocked(i)
 			}
 		}
 		// Re-derive both interest counters in one popcount pass.
@@ -213,8 +213,11 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 		n.mu.Unlock()
 
 	case protocol.Have:
+		if m.Index < 0 || int(m.Index) >= r.have.Size() {
+			return true
+		}
 		n.mu.Lock()
-		if int(m.Index) < r.have.Size() && r.have.Set(int(m.Index)) {
+		if r.have.Set(int(m.Index)) {
 			if n.myBits.Has(int(m.Index)) {
 				r.theyNeed-- // they caught up on a piece we hold
 			} else {
@@ -234,7 +237,7 @@ func (n *Node) dispatch(r *remote, msg protocol.Message) bool {
 		n.handleKey(m)
 
 	case protocol.Receipt:
-		n.handleReceipt(r, m)
+		n.handleReceipt(r.id, m)
 
 	case protocol.Attest:
 		n.handleAttest(r, m)
@@ -363,19 +366,24 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 	// forward), while m.Ciphertext may alias the connection's decode
 	// scratch — copy once here, then share the stable copy everywhere.
 	ciphertext := append([]byte(nil), m.Ciphertext...)
-	sealed := &tchain.Sealed{KeyID: m.KeyID, Nonce: m.Nonce, Ciphertext: ciphertext}
+	n.mu.Lock()
+	origin, connected := n.peers[int(m.OriginID)]
+	held := n.cfg.Store.Has(int(m.Index))
+	if !held {
+		// Escrow the seal until its key arrives and stamp the piece's first
+		// byte; the seal's hop context is kept so handleKey resumes the same
+		// trace.
+		sealed := &tchain.Sealed{KeyID: m.KeyID, Nonce: m.Nonce, Ciphertext: ciphertext}
+		n.pendingSeals[m.KeyID] = pendingSeal{sealed: sealed, index: int(m.Index), originID: int(m.OriginID), tc: h.context()}
+		n.noteFirstByteLocked(int(m.Index))
+	}
+	n.mu.Unlock()
 
 	if m.Forwarded {
 		// We are the witness of someone else's reciprocation: confirm it to
 		// the origin so the forwarder earns its key. We keep the ciphertext
 		// too — if the origin later releases the key to us as well we can
 		// use it, but we do not rely on that.
-		n.mu.Lock()
-		origin, connected := n.peers[int(m.OriginID)]
-		if !n.cfg.Store.Has(int(m.Index)) {
-			n.holdSealLocked(m, sealed, h)
-		}
-		n.mu.Unlock()
 		var receipt protocol.Message = protocol.Receipt{KeyID: m.KeyID, From: m.ForwarderID}
 		if n.identity != nil {
 			// Sign the witness confirmation: the origin releases the key only
@@ -397,27 +405,13 @@ func (n *Node) handleSealed(r *remote, m protocol.SealedPiece) {
 		}
 		return
 	}
-
-	n.mu.Lock()
-	if n.cfg.Store.Has(int(m.Index)) {
-		n.mu.Unlock()
+	if held {
 		return // nothing to gain; skip reciprocating for a duplicate
 	}
-	n.holdSealLocked(m, sealed, h)
-	n.mu.Unlock()
-
 	if n.cfg.FreeRide {
 		return // renege: keep unreadable ciphertext, upload nothing
 	}
 	n.reciprocate(r, m, ciphertext)
-}
-
-// holdSealLocked escrows a sealed piece until its key arrives and stamps
-// the piece's first byte (mu held); the seal's hop context is kept so
-// handleKey resumes the same trace.
-func (n *Node) holdSealLocked(m protocol.SealedPiece, sealed *tchain.Sealed, h *hopTrace) {
-	n.pendingSeals[m.KeyID] = pendingSeal{sealed: sealed, index: int(m.Index), originID: int(m.OriginID), tc: h.context()}
-	n.noteFirstByteLocked(int(m.Index))
 }
 
 // reciprocate fulfils the obligation created by a sealed piece. ciphertext
@@ -425,8 +419,10 @@ func (n *Node) holdSealLocked(m protocol.SealedPiece, sealed *tchain.Sealed, h *
 // asynchronous writer.
 func (n *Node) reciprocate(r *remote, m protocol.SealedPiece, ciphertext []byte) {
 	n.mu.Lock()
-	// Direct: send the origin a piece it needs.
-	directIdx := n.pickRandomWantedLocked(r)
+	// Direct: send the origin a piece it needs. No resend cooldown here:
+	// repaying with a piece we recently pushed is still a valid (and
+	// verifiable) repayment.
+	directIdx := n.pickPieceLocked(r, false)
 	n.mu.Unlock()
 
 	if directIdx >= 0 {
@@ -515,17 +511,19 @@ func (n *Node) handleKey(m protocol.Key) {
 	n.acceptVerified(origin, pending.originID, pending.index, len(plaintext), h)
 }
 
-// handleReceipt processes an unsigned witness confirmation: release the key
-// to the receiver that reciprocated. Note the trust assumption — a forged
-// receipt from a colluder extracts the key without real reciprocation,
-// exactly the paper's T-Chain collusion attack. A signing node therefore
-// refuses this frame outright and releases keys only for AttestedReceipt.
-func (n *Node) handleReceipt(r *remote, m protocol.Receipt) {
+// handleReceipt processes an unsigned witness confirmation from witnessID:
+// release the key to the receiver that reciprocated. Note the trust
+// assumption — a forged receipt from a colluder extracts the key without
+// real reciprocation, exactly the paper's T-Chain collusion attack. A
+// signing node therefore refuses this frame outright (reported as false)
+// and releases keys only for AttestedReceipt.
+func (n *Node) handleReceipt(witnessID int, m protocol.Receipt) bool {
 	if n.identity != nil {
 		n.metrics.attestReceiptsRejected.Inc()
-		return
+		return false
 	}
-	n.confirmReceipt(r.id, m)
+	n.confirmReceipt(witnessID, m)
+	return true
 }
 
 // signReceipt builds the receiver-side attestation for one verified piece
@@ -559,7 +557,13 @@ func (n *Node) creditAttestation(to *remote, att attest.Attestation, h *hopTrace
 	}
 	n.metrics.attestSigned.Inc()
 	if to != nil {
-		to.enqueueAck(att, h.context())
+		// Receipt copies are ordinary control frames: a lazy no-wakeup
+		// variant was measured and bought nothing (the drain that follows
+		// each piece's Have broadcast picks acks up either way), while it
+		// silently stranded receipts on links with no other outbound traffic
+		// — a downloader never Have-broadcasts to a complete seed, so the
+		// seed's proof copies only flushed at close.
+		to.enqueue(protocol.Attest{Att: att, Trace: h.context()})
 	}
 }
 

@@ -152,26 +152,15 @@ func newNodeMetrics(reg *metrics.Registry, n *Node) *nodeMetrics {
 	return m
 }
 
-// peerUpload returns the get-or-create per-peer upload byte counter.
-func (m *nodeMetrics) peerUpload(peer int) *metrics.Counter {
+// peerCounter returns the get-or-create per-peer byte counter of one
+// direction: cache is peerUp or peerDown, series the matching name format.
+func (m *nodeMetrics) peerCounter(cache map[int]*metrics.Counter, series string, peer int) *metrics.Counter {
 	m.peerMu.Lock()
 	defer m.peerMu.Unlock()
-	c, ok := m.peerUp[peer]
+	c, ok := cache[peer]
 	if !ok {
-		c = m.reg.Counter(fmt.Sprintf(`node_peer_upload_bytes_total{peer="%d"}`, peer))
-		m.peerUp[peer] = c
-	}
-	return c
-}
-
-// peerDownload returns the get-or-create per-peer download byte counter.
-func (m *nodeMetrics) peerDownload(peer int) *metrics.Counter {
-	m.peerMu.Lock()
-	defer m.peerMu.Unlock()
-	c, ok := m.peerDown[peer]
-	if !ok {
-		c = m.reg.Counter(fmt.Sprintf(`node_peer_download_bytes_total{peer="%d"}`, peer))
-		m.peerDown[peer] = c
+		c = m.reg.Counter(fmt.Sprintf(series, peer))
+		cache[peer] = c
 	}
 	return c
 }
@@ -180,7 +169,7 @@ func (m *nodeMetrics) peerDownload(peer int) *metrics.Counter {
 func (m *nodeMetrics) noteUpload(peer, bytes int) {
 	m.uploadedBytes.Add(int64(bytes))
 	m.uploadPieceBytes.Observe(int64(bytes))
-	m.peerUpload(peer).Add(int64(bytes))
+	m.peerCounter(m.peerUp, `node_peer_upload_bytes_total{peer="%d"}`, peer).Add(int64(bytes))
 }
 
 // noteDownload records one verified (credited) inbound piece payload from
@@ -188,7 +177,7 @@ func (m *nodeMetrics) noteUpload(peer, bytes int) {
 func (m *nodeMetrics) noteDownload(peer, bytes int) {
 	m.creditedBytes.Add(int64(bytes))
 	m.downloadPieceBytes.Observe(int64(bytes))
-	m.peerDownload(peer).Add(int64(bytes))
+	m.peerCounter(m.peerDown, `node_peer_download_bytes_total{peer="%d"}`, peer).Add(int64(bytes))
 }
 
 // attestRejected maps a ledger rejection to its reason-labelled counter.
@@ -298,21 +287,7 @@ func (n *Node) noteVerifiedLocked(index int) {
 }
 
 // outboxDepth sums the queued outbound frames across peers.
-func (n *Node) outboxDepth() int64 {
-	n.mu.Lock()
-	peers := make([]*remote, 0, len(n.peers))
-	for _, r := range n.peers {
-		peers = append(peers, r)
-	}
-	n.mu.Unlock()
-	var depth int64
-	for _, r := range peers {
-		r.outMu.Lock()
-		depth += int64(len(r.outbox))
-		r.outMu.Unlock()
-	}
-	return depth
-}
+func (n *Node) outboxDepth() int64 { return queuedFrames(n.remotes()) }
 
 // Metrics returns the node's metric registry — the one from Config.Metrics,
 // or the private registry the node created when none was supplied. It is

@@ -162,6 +162,12 @@ type remote struct {
 	theyNeed int
 	iNeed    int
 
+	// sentAt[i] is when piece i was last pushed to this peer (nowNs, 0 =
+	// never), under Node.mu: the upload pick skips pieces inside
+	// resendCooldown while it waits for the peer's Have. Living on the
+	// remote, it is born with the link and dies with it.
+	sentAt []int64
+
 	outMu     sync.Mutex
 	outCond   *sync.Cond
 	outbox    []protocol.Message
@@ -189,7 +195,8 @@ type remote struct {
 
 // newRemote wires the outbound queue of neighbor id for node n.
 func newRemote(id int, conn transport.Conn, addr string, n *Node) *remote {
-	r := &remote{id: id, conn: conn, have: piece.NewBitfield(n.cfg.Store.Manifest().NumPieces()), addr: addr, n: n}
+	numPieces := n.cfg.Store.Manifest().NumPieces()
+	r := &remote{id: id, conn: conn, have: piece.NewBitfield(numPieces), sentAt: make([]int64, numPieces), addr: addr, n: n}
 	r.outCond = sync.NewCond(&r.outMu)
 	return r
 }
@@ -236,16 +243,6 @@ func (r *remote) enqueue(m protocol.Message) { r.push(m, false, nil) }
 // enqueueData queues an untraced bulk frame; see push for refusals.
 func (r *remote) enqueueData(m protocol.Message) bool { return r.push(m, true, nil) }
 
-// enqueueAck queues a signed receipt copy for this peer. Receipts are
-// ordinary control frames: a lazy no-wakeup variant was measured and
-// bought nothing (the drain that follows each piece's Have broadcast picks
-// acks up either way), while it silently stranded receipts on links with
-// no other outbound traffic — a downloader never Have-broadcasts to a
-// complete seed, so the seed's proof copies only flushed at close.
-func (r *remote) enqueueAck(att attest.Attestation, tc tracing.Context) {
-	r.enqueue(protocol.Attest{Att: att, Trace: tc})
-}
-
 // noteChokedLocked emits a choke instant on the first backpressure refusal
 // of a saturated stretch (outMu held). Refusals are off the accept fast
 // path, so the tracing check costs nothing when the queue is healthy; with
@@ -264,6 +261,13 @@ func (r *remote) dataBacklogged() bool {
 	r.outMu.Lock()
 	defer r.outMu.Unlock()
 	return r.outData >= maxQueuedData
+}
+
+// queued reports the frames waiting in the outbox.
+func (r *remote) queued() int {
+	r.outMu.Lock()
+	defer r.outMu.Unlock()
+	return len(r.outbox)
 }
 
 // flushed reports whether every frame handed to this remote has reached
@@ -415,8 +419,7 @@ type Node struct {
 	conns        map[transport.Conn]bool // every live conn, incl. pre-handshake
 	pendingSeals map[uint64]pendingSeal
 	sealIndex    map[uint64]int // keyID -> piece index, sender side
-	recentSends  map[int]map[int]time.Time
-	trusted      map[int]bool // peers that have genuinely reciprocated a seal
+	trusted      map[int]bool   // peers that have genuinely reciprocated a seal
 	rng          *rand.Rand
 
 	// wantSince and firstByteAt are per-piece span timestamps (nowNs, 0 =
@@ -527,7 +530,6 @@ func New(cfg Config) (*Node, error) {
 		conns:        make(map[transport.Conn]bool),
 		pendingSeals: make(map[uint64]pendingSeal),
 		sealIndex:    make(map[uint64]int),
-		recentSends:  make(map[int]map[int]time.Time),
 		trusted:      make(map[int]bool),
 		rng:          stats.NewRNG(cfg.Seed),
 		myBits:       cfg.Store.Bitfield(),
@@ -620,11 +622,8 @@ func (n *Node) Stop() error {
 		}
 		n.mu.Lock()
 		n.stopping = true
-		remotes := make([]*remote, 0, len(n.peers))
-		for _, r := range n.peers {
-			remotes = append(remotes, r)
-		}
 		n.mu.Unlock()
+		remotes := n.remotes()
 		// Let the writer goroutines put already-queued frames on the wire
 		// before the connections go away. A caller that stops the node the
 		// instant its download completes — the CLI does exactly this — may
@@ -633,16 +632,7 @@ func (n *Node) Stop() error {
 		// seeder keeps of its uploads) would be dropped on the floor. The
 		// deadline is shared across peers so a wedged link cannot stall
 		// shutdown.
-		queuedFrames := func() int64 {
-			var q int64
-			for _, r := range remotes {
-				r.outMu.Lock()
-				q += int64(len(r.outbox))
-				r.outMu.Unlock()
-			}
-			return q
-		}
-		initial := queuedFrames()
+		initial := queuedFrames(remotes)
 		deadline := time.Now().Add(stopFlushTimeout)
 		for _, r := range remotes {
 			for !r.flushed() && time.Now().Before(deadline) {
@@ -652,7 +642,7 @@ func (n *Node) Stop() error {
 		// Shutdown drain accounting: what the window flushed versus what the
 		// connection teardown is about to drop (receipt copies, in
 		// particular — the proof a seeder keeps of its uploads).
-		remaining := queuedFrames()
+		remaining := queuedFrames(remotes)
 		n.metrics.stopDrainFrames.Add(max(initial-remaining, 0))
 		n.metrics.stopDrainDropped.Add(remaining)
 		n.log.Info("node stopped",
@@ -706,6 +696,27 @@ func (n *Node) Stats() Stats {
 		FramesReceived: n.metrics.framesIn.Value(),
 		DuplicateBytes: float64(n.metrics.duplicateBytes.Value()),
 	}
+}
+
+// remotes snapshots the neighbor set, so callers can visit each peer's own
+// locks (outbox, link) without holding n.mu.
+func (n *Node) remotes() []*remote {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := make([]*remote, 0, len(n.peers))
+	for _, r := range n.peers {
+		out = append(out, r)
+	}
+	return out
+}
+
+// queuedFrames sums the outbox depths of rs.
+func queuedFrames(rs []*remote) int64 {
+	var q int64
+	for _, r := range rs {
+		q += int64(r.queued())
+	}
+	return q
 }
 
 func (n *Node) acceptLoop() {

@@ -66,18 +66,17 @@ func (n *Node) DebugSwarmInfo() DebugSwarm {
 	numPieces := n.cfg.Store.Manifest().NumPieces()
 	holders := make([]int, numPieces)
 
+	remotes := n.remotes()
+	peers := make([]DebugPeer, len(remotes))
 	n.mu.Lock()
-	peers := make([]DebugPeer, 0, len(n.peers))
-	remotes := make([]*remote, 0, len(n.peers))
-	for _, r := range n.peers {
-		peers = append(peers, DebugPeer{
+	for i, r := range remotes {
+		peers[i] = DebugPeer{
 			ID:       r.id,
 			Addr:     r.addr,
 			Have:     r.have.Count(),
 			TheyNeed: r.theyNeed,
 			INeed:    r.iNeed,
-		})
-		remotes = append(remotes, r)
+		}
 		for _, idx := range r.have.Indices() {
 			holders[idx]++
 		}
@@ -89,9 +88,7 @@ func (n *Node) DebugSwarmInfo() DebugSwarm {
 
 	// Outbox depths are read outside n.mu (each queue has its own lock).
 	for i, r := range remotes {
-		r.outMu.Lock()
-		peers[i].Outbox = len(r.outbox)
-		r.outMu.Unlock()
+		peers[i].Outbox = r.queued()
 	}
 	sort.Slice(peers, func(i, j int) bool { return peers[i].ID < peers[j].ID })
 
@@ -217,10 +214,7 @@ func (j VerifyAttJSON) attestation() (attest.Attestation, error) {
 func (n *Node) handleVerify(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(n.VerifyInfoSnapshot())
+		writeJSON(w, n.VerifyInfoSnapshot())
 	case http.MethodPost:
 		if n.verifier == nil {
 			http.Error(w, "attestation disabled on this node", http.StatusServiceUnavailable)
@@ -329,13 +323,18 @@ func (n *Node) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		_ = tracing.WriteChromeTrace(w, spans)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(struct {
+	writeJSON(w, struct {
 		Dropped uint64         `json:"dropped"`
 		Spans   []tracing.Span `json:"spans"`
 	}{Dropped: dropped, Spans: spans})
+}
+
+// writeJSON serves v as indented JSON, the form every debug endpoint uses.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }
 
 // MetricsMux serves the node's telemetry over HTTP:
@@ -356,20 +355,14 @@ func MetricsMux(n *Node) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", metrics.Handler(n.metrics.reg))
 	mux.HandleFunc("/debug/swarm", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(n.DebugSwarmInfo())
+		writeJSON(w, n.DebugSwarmInfo())
 	})
 	mux.HandleFunc("/debug/dht", func(w http.ResponseWriter, _ *http.Request) {
 		if n.RoutingTable() == nil {
 			http.Error(w, "discovery disabled on this node", http.StatusNotFound)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(n.DebugDHTInfo())
+		writeJSON(w, n.DebugDHTInfo())
 	})
 	mux.HandleFunc("/debug/trace", n.handleDebugTrace)
 	mux.Handle("/debug/vars", expvar.Handler())

@@ -132,26 +132,16 @@ func (n *Node) uploadLoop() {
 // piling frames onto a stalled connection.
 func (n *Node) tryUpload() bool {
 	n.mu.Lock()
-	receiverID := n.strategy.NextReceiver(n.view())
-	if receiverID == incentive.NoPeer {
-		n.mu.Unlock()
-		return false
+	id := n.strategy.NextReceiver(n.view())
+	r, idx := n.peers[int(id)], -1
+	if id != incentive.NoPeer && r != nil && !r.dataBacklogged() {
+		idx = n.pickPieceLocked(r, true)
 	}
-	r, ok := n.peers[int(receiverID)]
-	if !ok {
-		n.mu.Unlock()
-		return false
-	}
-	if r.dataBacklogged() {
-		n.mu.Unlock()
-		return false
-	}
-	idx := n.pickPieceLocked(r)
 	if idx < 0 {
 		n.mu.Unlock()
 		return false
 	}
-	n.markSentLocked(r.id, idx)
+	r.sentAt[idx] = n.nowNs()
 	// Trace decision while mu still guards pieceTrace: continue the trace
 	// this piece arrived under, or let the sampler mint a fresh one. Nil
 	// means untraced.
@@ -168,16 +158,20 @@ func (n *Node) tryUpload() bool {
 	return n.sendPiece(r, idx, data, protocol.NoRepay, ut)
 }
 
-// pickPieceLocked chooses a uniformly random piece the receiver needs,
-// excluding recent sends (mu held). It walks the bitfield words directly
-// with a reservoir pick, so the hot path builds no candidate slice; the
-// cached theyNeed counter short-circuits peers with nothing to gain.
-func (n *Node) pickPieceLocked(r *remote) int {
+// pickPieceLocked chooses a uniformly random piece we hold that r lacks, or
+// -1 (mu held). With cooldown set — the upload scheduler — it skips pieces
+// sent to r within resendCooldown; the reciprocation path passes false. It
+// walks the bitfield words directly with a reservoir pick, so the hot path
+// builds no candidate slice; the cached theyNeed counter short-circuits
+// peers with nothing to gain.
+func (n *Node) pickPieceLocked(r *remote, cooldown bool) int {
 	if r.theyNeed == 0 {
 		return -1
 	}
-	recent := n.recentSends[r.id]
-	now := time.Now()
+	var now int64
+	if cooldown {
+		now = n.nowNs()
+	}
 	mine, theirs := n.myBits.Words(), r.have.Words()
 	limit := min(len(mine), len(theirs))
 	picked, seen := -1, 0
@@ -186,7 +180,7 @@ func (n *Node) pickPieceLocked(r *remote) int {
 		for diff != 0 {
 			idx := w*64 + bits.TrailingZeros64(diff)
 			diff &= diff - 1
-			if at, ok := recent[idx]; ok && now.Sub(at) < resendCooldown {
+			if cooldown && now-r.sentAt[idx] < int64(resendCooldown) {
 				continue
 			}
 			seen++
@@ -196,40 +190,6 @@ func (n *Node) pickPieceLocked(r *remote) int {
 		}
 	}
 	return picked
-}
-
-// pickRandomWantedLocked returns a uniformly random piece we hold that r
-// lacks, or -1 (mu held). Unlike pickPieceLocked it ignores the resend
-// cooldown: it serves the reciprocation path, where repaying with a piece
-// we recently pushed is still a valid (and verifiable) repayment.
-func (n *Node) pickRandomWantedLocked(r *remote) int {
-	if r.theyNeed == 0 {
-		return -1
-	}
-	mine, theirs := n.myBits.Words(), r.have.Words()
-	limit := min(len(mine), len(theirs))
-	picked, seen := -1, 0
-	for w := 0; w < limit; w++ {
-		diff := mine[w] &^ theirs[w]
-		for diff != 0 {
-			idx := w*64 + bits.TrailingZeros64(diff)
-			diff &= diff - 1
-			seen++
-			if n.rng.Intn(seen) == 0 {
-				picked = idx
-			}
-		}
-	}
-	return picked
-}
-
-func (n *Node) markSentLocked(peerID, idx int) {
-	recent := n.recentSends[peerID]
-	if recent == nil {
-		recent = make(map[int]time.Time)
-		n.recentSends[peerID] = recent
-	}
-	recent[idx] = time.Now()
 }
 
 // sendPiece pushes plaintext and reports whether the frame was accepted

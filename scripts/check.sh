@@ -62,24 +62,31 @@ if [ "$no_probe" != "$counter" ]; then
   exit 1
 fi
 
+# alloc_gate <bench> <pkg> <benchtime> <ceiling> runs one benchmark with
+# -benchmem and fails unless its allocs/op is at most ceiling. allocs/op is
+# found by unit, since some benchmark lines carry extra metrics.
+alloc_gate() {
+  local bench=$1 pkg=$2 benchtime=$3 ceiling=$4 out allocs
+  out=$(go test -run=NONE -bench="^${bench}\$" -benchtime="$benchtime" -benchmem "$pkg")
+  echo "$out"
+  allocs=$(echo "$out" | awk -v n="^${bench}" '$0 ~ n {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
+  if [ -z "$allocs" ]; then
+    echo "alloc gate: could not parse $bench output" >&2
+    exit 1
+  fi
+  if [ "$allocs" -gt "$ceiling" ]; then
+    echo "alloc gate: $bench allocated $allocs/op (ceiling $ceiling)" >&2
+    exit 1
+  fi
+}
+
 echo "== scale regression guard =="
 # One 5000x256 run drives ~1.3M upload decisions; the interest/rarity
 # indexes keep the decision loop allocation-free, so whole-run allocs/op
 # stay dominated by per-peer setup (~480k). The ceiling is ~2x the measured
 # number: an allocation sneaking into the per-decision path would add
 # millions and trip it immediately.
-scale_out=$(go test -run=NONE -bench='^BenchmarkSwarmLarge$' -benchtime=1x -benchmem ./internal/sim)
-echo "$scale_out"
-# The line carries an extra events/op metric, so find allocs/op by unit.
-scale_allocs=$(echo "$scale_out" | awk '/^BenchmarkSwarmLarge/ {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-if [ -z "$scale_allocs" ]; then
-  echo "scale guard: could not parse benchmark output" >&2
-  exit 1
-fi
-if [ "$scale_allocs" -gt 1000000 ]; then
-  echo "scale guard: BenchmarkSwarmLarge allocated $scale_allocs/op (ceiling 1000000) — something allocates per upload decision" >&2
-  exit 1
-fi
+alloc_gate BenchmarkSwarmLarge ./internal/sim 1x 1000000
 
 echo "== wire-path allocation guard =="
 # One piece-sized frame through the steady-state wire path (pooled
@@ -87,34 +94,14 @@ echo "== wire-path allocation guard =="
 # the decode side's Message interface boxing, which the API shape requires.
 # Anything above that means a buffer slipped out of the pool or the decoder
 # stopped reusing its scratch. 10000x amortizes pool warm-up to zero.
-frame_out=$(go test -run=NONE -bench='^BenchmarkFrameRoundTrip$' -benchtime=10000x -benchmem ./internal/protocol)
-echo "$frame_out"
-frame_allocs=$(echo "$frame_out" | awk '/^BenchmarkFrameRoundTrip/ {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-if [ -z "$frame_allocs" ]; then
-  echo "wire guard: could not parse benchmark output" >&2
-  exit 1
-fi
-if [ "$frame_allocs" -gt 1 ]; then
-  echo "wire guard: frame round trip allocated $frame_allocs/op (ceiling 1) — the encode pool or decode scratch regressed" >&2
-  exit 1
-fi
+alloc_gate BenchmarkFrameRoundTrip ./internal/protocol 10000x 1
 
 echo "== duplicate fast-path guard =="
 # A piece the store already holds is refused before hashing: Store.Add on a
 # held index must cost one read-locked bitfield probe and 0 allocs/op. Any
 # allocation means the duplicate path started hashing, copying or building
 # errors again.
-dup_out=$(go test -run=NONE -bench='^BenchmarkStoreAddHeld$' -benchtime=10000x -benchmem ./internal/piece)
-echo "$dup_out"
-dup_allocs=$(echo "$dup_out" | awk '/^BenchmarkStoreAddHeld/ {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-if [ -z "$dup_allocs" ]; then
-  echo "duplicate guard: could not parse benchmark output" >&2
-  exit 1
-fi
-if [ "$dup_allocs" != "0" ]; then
-  echo "duplicate guard: Store.Add of a held piece allocated $dup_allocs/op (must be 0) — the held check no longer precedes the hash" >&2
-  exit 1
-fi
+alloc_gate BenchmarkStoreAddHeld ./internal/piece 10000x 0
 
 echo "== attestation adversary gate =="
 # The proof-first ledger's security claims again, explicitly and by name,
@@ -124,9 +111,11 @@ echo "== attestation adversary gate =="
 # man-in-the-middle corrupting every receipt copy in flight is caught on
 # the ack audit path without touching the ledger; a duplicate piece earns
 # no receipt, and a forged repayment for a piece already held releases no
-# escrowed key.
+# escrowed key; and a frame that does not fit the swarm's piece count (a
+# negative or past-the-end Have, an oversize Bitfield) closes its link
+# without wedging the node.
 go test -race -count=1 -run 'TestAdversariesEarnZeroVerifiedReputation|TestReplayedReceiptCreditsOnce' ./internal/attack
-go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks|TestDuplicatePieceCostsNothing|TestForgedRepaymentForHeldPieceReleasesNoKey' ./internal/node
+go test -race -count=1 -run 'TestClusterAttestationEndToEnd|TestClusterSurvivesTamperedAcks|TestDuplicatePieceCostsNothing|TestForgedRepaymentForHeldPieceReleasesNoKey|TestMalformedFrameClosesLink' ./internal/node
 
 echo "== node counter and trace repeat gate =="
 # The node's books read after Stop (Stats vs the registry, the ledger vs
@@ -140,38 +129,17 @@ echo "== attestation allocation guard =="
 # Session-scheme receipts ride the in-process cluster hot path (one sign at
 # the receiver, one verify at the ledger, per piece), so both must stay
 # allocation-free; anything nonzero means canonical encoding started
-# escaping to the heap.
-attest_out=$(go test -run=NONE -bench='^BenchmarkAttest(Sign|Verify)Session$' -benchmem ./internal/attest)
-echo "$attest_out"
-for name in BenchmarkAttestSignSession BenchmarkAttestVerifySession; do
-  allocs=$(echo "$attest_out" | awk -v n="^$name" '$0 ~ n {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-  if [ -z "$allocs" ]; then
-    echo "attest guard: could not parse $name output" >&2
-    exit 1
-  fi
-  if [ "$allocs" != "0" ]; then
-    echo "attest guard: $name allocated $allocs/op (must be 0) — the canonical encode path regressed" >&2
-    exit 1
-  fi
-done
+# escaping to the heap. 1s is go test's default -benchtime.
+alloc_gate BenchmarkAttestSignSession ./internal/attest 1s 0
+alloc_gate BenchmarkAttestVerifySession ./internal/attest 1s 0
 
 echo "== metrics allocation guard =="
 # The sharded metrics core sits on every hot path the node instruments, so
 # a steady-state Counter.Add or Histogram.Observe must be allocation-free.
 # Any nonzero count means a shard lookup or bucket update started escaping.
-metrics_out=$(go test -run=NONE -bench='^Benchmark(CounterAdd|HistogramObserve)$' -benchmem ./internal/metrics)
-echo "$metrics_out"
-for name in BenchmarkCounterAdd BenchmarkHistogramObserve; do
-  allocs=$(echo "$metrics_out" | awk -v n="^$name" '$0 ~ n {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-  if [ -z "$allocs" ]; then
-    echo "metrics guard: could not parse $name output" >&2
-    exit 1
-  fi
-  if [ "$allocs" != "0" ]; then
-    echo "metrics guard: $name allocated $allocs/op (must be 0) — the sharded fast path regressed" >&2
-    exit 1
-  fi
-done
+# 1s is go test's default -benchtime.
+alloc_gate BenchmarkCounterAdd ./internal/metrics 1s 0
+alloc_gate BenchmarkHistogramObserve ./internal/metrics 1s 0
 
 echo "== tracing overhead guard =="
 # The per-peer outbox is the path every live frame crosses. With causal
@@ -179,16 +147,6 @@ echo "== tracing overhead guard =="
 # writeLoop-shaped drain must stay at exactly 0 allocs/op — the proof that
 # the trace hooks (uploadTrace minting, traced-frame bookkeeping, clock
 # reads) cost nothing until a push is actually sampled.
-trace_out=$(go test -run=NONE -bench='^BenchmarkOutboxUntraced$' -benchtime=10000x -benchmem ./internal/node)
-echo "$trace_out"
-trace_allocs=$(echo "$trace_out" | awk '/^BenchmarkOutboxUntraced/ {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-if [ -z "$trace_allocs" ]; then
-  echo "tracing guard: could not parse benchmark output" >&2
-  exit 1
-fi
-if [ "$trace_allocs" != "0" ]; then
-  echo "tracing guard: untraced outbox path allocated $trace_allocs/op (must be 0) — a trace hook leaked onto the hot path" >&2
-  exit 1
-fi
+alloc_gate BenchmarkOutboxUntraced ./internal/node 10000x 0
 
 echo "check: OK"
